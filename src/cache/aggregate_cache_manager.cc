@@ -67,19 +67,6 @@ bool QueryUsesTable(const AggregateQuery& query, const Table& table) {
   return false;
 }
 
-void AppendJsonEscapedTo(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      *out += '\\';
-      *out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      *out += StrFormat("\\u%04x", c);
-    } else {
-      *out += c;
-    }
-  }
-}
-
 void AppendPerfJson(std::string* out, const PerfDelta& delta) {
   *out += StrFormat(
       "{\"cycles\":%llu,\"instructions\":%llu,\"ipc\":%.2f,"
@@ -110,9 +97,9 @@ std::string BuildSlowQueryRecord(const std::string& statement,
       "{\"t_unix_ms\":%lld,\"elapsed_ms\":%.3f,\"strategy\":\"%s\","
       "\"statement\":\"",
       static_cast<long long>(t_unix_ms), elapsed_ms, strategy);
-  AppendJsonEscapedTo(&out, statement);
+  AppendJsonEscaped(&out, statement);
   out += "\",\"status\":\"";
-  AppendJsonEscapedTo(&out, status.ok() ? "ok" : status.message());
+  AppendJsonEscaped(&out, status.ok() ? "ok" : status.message());
   out += StrFormat(
       "\",\"governance\":{\"admission_wait_us\":%llu,"
       "\"mem_peak_bytes\":%zu,\"rows_scanned\":%llu,\"abort\":\"%s\"}",
@@ -148,7 +135,7 @@ std::string BuildSlowQueryRecord(const std::string& statement,
           static_cast<unsigned long long>(span.dur_us),
           static_cast<unsigned long long>(span.span_id),
           static_cast<unsigned long long>(span.parent_id));
-      AppendJsonEscapedTo(&out, span.detail);
+      AppendJsonEscaped(&out, span.detail);
       out += "\"}";
     }
     out += "]";
@@ -1110,23 +1097,6 @@ CacheExecStats AggregateCacheManager::last_exec_stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return last_stats_;
 }
-
-namespace {
-
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      *out += '\\';
-      *out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      *out += StrFormat("\\u%04x", c);
-    } else {
-      *out += c;
-    }
-  }
-}
-
-}  // namespace
 
 std::vector<AggregateCacheManager::LedgerEntry>
 AggregateCacheManager::LedgerSnapshot() const {

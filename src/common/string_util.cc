@@ -41,4 +41,51 @@ std::string HumanBytes(size_t bytes) {
   return StrFormat("%.1f %s", value, units[unit]);
 }
 
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          *out += StrFormat("\\u%04x", c);
+        } else {
+          *out += c;
+        }
+    }
+  }
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendJsonEscaped(&out, s);
+  return out;
+}
+
+std::vector<std::pair<std::string, std::string>> SplitKeyValueSpec(
+    const std::string& spec) {
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (size_t start = 0; start <= spec.size();) {
+    size_t comma = spec.find(',', start);
+    if (comma == std::string::npos) comma = spec.size();
+    std::string part = spec.substr(start, comma - start);
+    start = comma + 1;
+    size_t eq = part.find('=');
+    if (eq == std::string::npos) continue;
+    pairs.emplace_back(part.substr(0, eq), part.substr(eq + 1));
+  }
+  return pairs;
+}
+
 }  // namespace aggcache

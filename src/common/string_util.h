@@ -3,6 +3,8 @@
 
 #include <cstdarg>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace aggcache {
@@ -17,6 +19,19 @@ std::string StrJoin(const std::vector<std::string>& parts,
 
 /// Renders a byte count as "12.3 KiB" / "4.5 MiB" etc.
 std::string HumanBytes(size_t bytes);
+
+/// Appends `s` to `out` escaped for the inside of a JSON string literal:
+/// quote and backslash get a backslash, newline and tab their short forms,
+/// every other control byte a \u00XX escape.
+void AppendJsonEscaped(std::string* out, std::string_view s);
+
+/// AppendJsonEscaped into a fresh string, for stream-style renderers.
+std::string JsonEscape(std::string_view s);
+
+/// Splits a "k=v,k=v" configuration spec into (key, value) pairs, in
+/// order. The key ends at the first '='; parts without one are skipped.
+std::vector<std::pair<std::string, std::string>> SplitKeyValueSpec(
+    const std::string& spec);
 
 }  // namespace aggcache
 

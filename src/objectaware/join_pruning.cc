@@ -1,7 +1,6 @@
 #include "objectaware/join_pruning.h"
 
 #include "obs/engine_metrics.h"
-#include "obs/flight_recorder.h"
 
 namespace aggcache {
 
@@ -43,8 +42,6 @@ PruneDecision JoinPruner::ShouldPrune(const BoundQuery& bound,
     if (ResolvePartition(*bound.tables[t], combination[t]).empty()) {
       ++stats_.pruned_empty;
       metrics.pruned_empty->Increment();
-      RecordFlightEvent(FlightEventType::kPruneVerdict, 1, t,
-                        "empty-partition");
       return PruneDecision{true, "empty-partition"};
     }
   }
@@ -61,7 +58,6 @@ PruneDecision JoinPruner::ShouldPrune(const BoundQuery& bound,
     if (db_->InSameAgingGroup(ta.name(), tb.name())) {
       ++stats_.pruned_aging;
       metrics.pruned_aging->Increment();
-      RecordFlightEvent(FlightEventType::kPruneVerdict, 1, 0, "aging-group");
       return PruneDecision{true, "aging-group"};
     }
   }
@@ -78,7 +74,6 @@ PruneDecision JoinPruner::ShouldPrune(const BoundQuery& bound,
                           md.right_tid_column)) {
       ++stats_.pruned_tid_range;
       metrics.pruned_tid_range->Increment();
-      RecordFlightEvent(FlightEventType::kPruneVerdict, 1, 0, "tid-range");
       return PruneDecision{true, "tid-range"};
     }
   }

@@ -1,7 +1,5 @@
 #include "objectaware/predicate_pushdown.h"
 
-#include "obs/flight_recorder.h"
-
 namespace aggcache {
 
 std::vector<FilterPredicate> DerivePushdownFilters(
@@ -38,13 +36,6 @@ std::vector<FilterPredicate> DerivePushdownFilters(
                                       CompareOp::kGe, ld.min_value()});
     filters.push_back(FilterPredicate{md.right_table, right_name,
                                       CompareOp::kLe, ld.max_value()});
-  }
-  // Only positive verdicts hit the flight recorder: "no filter derivable"
-  // is the overwhelmingly common case on same-kind pairs and would flood
-  // the ring without adding signal.
-  if (!filters.empty()) {
-    RecordFlightEvent(FlightEventType::kPushdownVerdict, filters.size(),
-                      mds.size());
   }
   return filters;
 }

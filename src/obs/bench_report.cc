@@ -13,36 +13,6 @@ namespace aggcache {
 
 namespace {
 
-/// Mirrors the registry's JSON escaping; bench labels are ASCII by
-/// convention but reports must never emit malformed JSON.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// JSON number formatting for doubles: integral values print without a
 /// fraction, others with enough digits to round-trip benchmark precision.
 std::string JsonNumber(double value) {

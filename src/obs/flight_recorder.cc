@@ -1,12 +1,9 @@
 #include "obs/flight_recorder.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
-#include <map>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
@@ -45,34 +42,7 @@ uint64_t EventMicros() {
   return NowMicros();
 }
 
-size_t RoundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
 std::atomic<bool> g_dump_requested{false};
-
-// Live-instance registry, keyed address -> instance id. A thread_local
-// lease can outlive a stack-allocated recorder (tests construct them
-// freely), and a successor recorder can even reuse the dead one's address —
-// so a release must match BOTH before touching the instance; otherwise it
-// is dropped. Leaked so leases draining at thread/process exit always find
-// the registry alive.
-std::mutex& LiveRecordersMutex() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::map<const void*, uint64_t>& LiveRecorders() {
-  static auto* live = new std::map<const void*, uint64_t>();
-  return *live;
-}
-
-uint64_t NextInstanceId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 #ifdef AGGCACHE_FLIGHT_HAS_SIGNALS
 void FlightSignalHandler(int) {
@@ -99,10 +69,6 @@ const char* FlightEventTypeToString(FlightEventType type) {
       return "admission_reject";
     case FlightEventType::kSingleFlightWait:
       return "singleflight_wait";
-    case FlightEventType::kPruneVerdict:
-      return "prune_verdict";
-    case FlightEventType::kPushdownVerdict:
-      return "pushdown_verdict";
     case FlightEventType::kFaultInjected:
       return "fault_injected";
     case FlightEventType::kSnapshotIssued:
@@ -133,185 +99,32 @@ const char* FlightEventTypeToString(FlightEventType type) {
   return "unknown";
 }
 
-/// One event slot, all fields atomic so TSAN sees every cross-thread access
-/// as intentionally racy-by-protocol. `seq` doubles as the publication
-/// token: 0 = slot being (re)written, nonzero = payload at that sequence.
-struct FlightRecorder::Slot {
-  std::atomic<uint64_t> seq{0};
-  std::atomic<uint64_t> t_us{0};
-  /// Packed: bits 0..7 event type, bits 8..39 recorder thread id.
-  std::atomic<uint64_t> meta{0};
-  std::atomic<uint64_t> a{0};
-  std::atomic<uint64_t> b{0};
-  /// Truncated label, three 8-byte words (NUL padding included).
-  std::atomic<uint64_t> detail[3] = {};
-};
-
-/// A per-thread ring of slots. Only the leasing thread advances `cursor`;
-/// dump threads read slots concurrently through the seq protocol.
-struct FlightRecorder::Segment {
-  explicit Segment(size_t n) : mask(n - 1), slots(new Slot[n]) {}
-  const size_t mask;
-  std::atomic<size_t> cursor{0};
-  std::unique_ptr<Slot[]> slots;
-  uint32_t thread_id = 0;
-};
-
-struct FlightThreadLease {
-  /// Thread-local lease: acquired on a thread's first Record(), returned to
-  /// the recorder's free list when the thread exits. The lease may outlive
-  /// the recorder it points to, so releases go through the live-instance
-  /// registry and are dropped for destroyed recorders.
-  struct Impl {
-    FlightRecorder* recorder = nullptr;
-    uint64_t instance_id = 0;
-    FlightRecorder::Segment* segment = nullptr;
-    ~Impl() { Release(recorder, instance_id, segment); }
-  };
-
-  static void Release(FlightRecorder* recorder, uint64_t instance_id,
-                      FlightRecorder::Segment* segment) {
-    if (recorder == nullptr || segment == nullptr) return;
-    std::lock_guard<std::mutex> lock(LiveRecordersMutex());
-    auto it = LiveRecorders().find(recorder);
-    if (it != LiveRecorders().end() && it->second == instance_id) {
-      recorder->ReleaseSegment(segment);
-    }
-  }
-
-  static FlightRecorder::Segment* Get(FlightRecorder* recorder) {
-    thread_local Impl lease;
-    if (lease.instance_id != recorder->instance_id_) {
-      Release(lease.recorder, lease.instance_id, lease.segment);
-      lease.recorder = recorder;
-      lease.instance_id = recorder->instance_id_;
-      lease.segment = recorder->LeaseSegment();
-    } else if (lease.segment == nullptr) {
-      // Starved earlier (every segment was leased); retry — a segment may
-      // have been freed by an exiting thread since.
-      lease.segment = recorder->LeaseSegment();
-    }
-    return lease.segment;
-  }
-};
-
 FlightRecorder::FlightRecorder(Options options)
-    : options_(options), instance_id_(NextInstanceId()), t0_us_(EventMicros()) {
-  options_.events_per_segment =
-      RoundUpPow2(std::max<size_t>(options_.events_per_segment, 8));
-  options_.max_segments = std::max<size_t>(options_.max_segments, 1);
-  enabled_.store(options_.enabled, std::memory_order_relaxed);
-  segments_.reserve(options_.max_segments);
-  std::lock_guard<std::mutex> lock(LiveRecordersMutex());
-  LiveRecorders()[this] = instance_id_;
-}
-
-FlightRecorder::~FlightRecorder() {
-  std::lock_guard<std::mutex> lock(LiveRecordersMutex());
-  LiveRecorders().erase(this);
-}
-
-FlightRecorder::Segment* FlightRecorder::LeaseSegment() {
-  std::lock_guard<std::mutex> lock(segments_mu_);
-  if (!free_segments_.empty()) {
-    Segment* segment = free_segments_.back();
-    free_segments_.pop_back();
-    return segment;
-  }
-  if (segments_.size() < options_.max_segments) {
-    segments_.push_back(
-        std::make_unique<Segment>(options_.events_per_segment));
-    Segment* segment = segments_.back().get();
-    segment->thread_id = next_thread_id_.fetch_add(1, std::memory_order_relaxed);
-    return segment;
-  }
-  return nullptr;
-}
-
-void FlightRecorder::ReleaseSegment(Segment* segment) {
-  std::lock_guard<std::mutex> lock(segments_mu_);
-  free_segments_.push_back(segment);
-}
-
-size_t FlightRecorder::active_segments() const {
-  std::lock_guard<std::mutex> lock(segments_mu_);
-  return segments_.size() - free_segments_.size();
-}
+    : ring_(options.events_per_segment, options.max_segments,
+            options.enabled),
+      t0_us_(EventMicros()) {}
 
 void FlightRecorder::Record(FlightEventType type, uint64_t a, uint64_t b,
                             const char* detail) {
-  if (!enabled_.load(std::memory_order_relaxed)) return;
-  Segment* segment = FlightThreadLease::Get(this);
-  if (segment == nullptr) {
-    // Every segment is leased by some other live thread: the event is lost,
-    // not silently dropped — the loss counter is part of the dump header.
-    lost_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  size_t index =
-      segment->cursor.fetch_add(1, std::memory_order_relaxed) & segment->mask;
-  Slot& slot = segment->slots[index];
-  // Unpublish, write the payload relaxed, then publish with release: a
-  // reader acquiring a nonzero seq sees the matching payload, and a reader
-  // that catches the slot mid-rewrite sees seq==0 or a seq change and
-  // discards it.
-  slot.seq.store(0, std::memory_order_release);
-  slot.t_us.store(EventMicros() - t0_us_, std::memory_order_relaxed);
-  slot.meta.store(static_cast<uint64_t>(type) |
-                      (uint64_t{segment->thread_id} << 8),
-                  std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
-  uint64_t words[3] = {0, 0, 0};
-  if (detail != nullptr) {
-    char buf[24] = {};
-    std::strncpy(buf, detail, sizeof(buf) - 1);
-    std::memcpy(words, buf, sizeof(buf));
-  }
-  for (int i = 0; i < 3; ++i) {
-    slot.detail[i].store(words[i], std::memory_order_relaxed);
-  }
-  slot.seq.store(seq, std::memory_order_release);
+  if (!ring_.enabled()) return;
+  Ring::Payload p = {EventMicros() - t0_us_, static_cast<uint64_t>(type), a,
+                     b};
+  PackText<3>(detail, &p[4]);
+  ring_.Record(p);
 }
 
 std::vector<FlightRecorder::Event> FlightRecorder::Collect(
     size_t max_events) const {
   std::vector<Event> events;
-  {
-    std::lock_guard<std::mutex> lock(segments_mu_);
-    for (const std::unique_ptr<Segment>& segment : segments_) {
-      size_t n = segment->mask + 1;
-      for (size_t i = 0; i < n; ++i) {
-        const Slot& slot = segment->slots[i];
-        uint64_t seq = slot.seq.load(std::memory_order_acquire);
-        if (seq == 0) continue;
-        Event event;
-        event.seq = seq;
-        event.t_us = slot.t_us.load(std::memory_order_relaxed);
-        uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-        event.type = static_cast<FlightEventType>(meta & 0xff);
-        event.thread = static_cast<uint32_t>(meta >> 8);
-        event.a = slot.a.load(std::memory_order_relaxed);
-        event.b = slot.b.load(std::memory_order_relaxed);
-        uint64_t words[3];
-        for (int w = 0; w < 3; ++w) {
-          words[w] = slot.detail[w].load(std::memory_order_relaxed);
-        }
-        std::memcpy(event.detail, words, sizeof(words));
-        event.detail[sizeof(event.detail) - 1] = '\0';
-        // Torn-read check: a writer lapping this slot mid-harvest changed
-        // (or zeroed) seq; drop the inconsistent snapshot.
-        if (slot.seq.load(std::memory_order_acquire) != seq) continue;
-        events.push_back(event);
-      }
-    }
-  }
-  std::sort(events.begin(), events.end(),
-            [](const Event& x, const Event& y) { return x.seq < y.seq; });
-  if (events.size() > max_events) {
-    events.erase(events.begin(),
-                 events.end() - static_cast<ptrdiff_t>(max_events));
+  for (const Ring::Entry& entry : ring_.Collect(max_events)) {
+    Event& event = events.emplace_back();
+    event.seq = entry.seq;
+    event.thread = entry.thread;
+    event.t_us = entry.words[0];
+    event.type = static_cast<FlightEventType>(entry.words[1]);
+    event.a = entry.words[2];
+    event.b = entry.words[3];
+    UnpackText<3>(&entry.words[4], event.detail);
   }
   return events;
 }
@@ -342,17 +155,7 @@ std::string FlightRecorder::DumpJson(size_t max_events) const {
     out += ",\"b\":";
     out += std::to_string(event.b);
     out += ",\"detail\":\"";
-    for (const char* p = event.detail; *p != '\0'; ++p) {
-      char c = *p;
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        out += StrFormat("\\u%04x", c);
-      } else {
-        out += c;
-      }
-    }
+    AppendJsonEscaped(&out, event.detail);
     out += "\"}";
   }
   out += "]}";
@@ -391,15 +194,8 @@ FlightRecorder::Options ParseFlightEnv() {
     options.enabled = false;
     return options;
   }
-  for (size_t start = 0; start <= spec.size();) {
-    size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) comma = spec.size();
-    std::string part = spec.substr(start, comma - start);
-    start = comma + 1;
-    size_t eq = part.find('=');
-    if (eq == std::string::npos) continue;
-    std::string key = part.substr(0, eq);
-    long value = std::strtol(part.c_str() + eq + 1, nullptr, 10);
+  for (const auto& [key, text] : SplitKeyValueSpec(spec)) {
+    long value = std::strtol(text.c_str(), nullptr, 10);
     if (key == "events" && value > 0) {
       options.events_per_segment = static_cast<size_t>(value);
     } else if (key == "threads" && value > 0) {

@@ -1,13 +1,12 @@
 #ifndef AGGCACHE_OBS_FLIGHT_RECORDER_H_
 #define AGGCACHE_OBS_FLIGHT_RECORDER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/event_ring.h"
 
 namespace aggcache {
 
@@ -24,8 +23,6 @@ enum class FlightEventType : uint8_t {
   kEntryState,           ///< a = entry id; b = from<<8|to (EntryState)
   kAdmissionReject,      ///< a = entry id; detail = reason
   kSingleFlightWait,     ///< a = entry id
-  kPruneVerdict,         ///< a = 1 (only prunes recorded); detail = reason
-  kPushdownVerdict,      ///< a = filters derived; b = MD edges considered
   kFaultInjected,        ///< a = fire #; b = 1 delay / 0 error; detail = point
   kSnapshotIssued,       ///< a = snapshot tid; b = group; detail = table
   kCheckFailure,         ///< detail = failing file:line (best effort)
@@ -44,33 +41,22 @@ enum class FlightEventType : uint8_t {
 /// Event-type name used in JSON dumps (stable contract, golden-tested).
 const char* FlightEventTypeToString(FlightEventType type);
 
-/// A bounded, lock-free flight recorder: the engine's black box. Every
-/// recording thread owns (leases) a private segment — a fixed ring of
-/// atomic event slots plus a relaxed monotone cursor — so a Record() is a
-/// global relaxed fetch_add (for cross-thread ordering), a private relaxed
-/// fetch_add (slot claim) and a handful of relaxed stores. No lock, no
-/// allocation, no syscall on the record path; the hot paths it instruments
-/// (prune verdicts, entry state flips) pay nanoseconds.
+/// The engine's black box: a bounded, lock-free ring (obs/event_ring.h)
+/// of typed engine events. Recording is a few relaxed atomics, no lock, no
+/// allocation, no syscall, so the hot paths it instruments (entry state
+/// flips, merges, WAL syncs) pay nanoseconds. Wraparound keeps the recent
+/// past; events are only *lost* (counted in lost_events()) when more
+/// threads record at once than there are segments.
 ///
-/// Dumps are loose snapshots: a dumper walks every segment, harvests slots
-/// whose sequence number is published (release store, acquire load),
-/// re-checks the sequence after reading the payload and drops the slot if a
-/// concurrent writer lapped it. A torn event is therefore *discarded*, never
-/// emitted. Dumping is expected at three moments — on demand (shell
-/// `\flight`, replayer `!flightdump`), from the AGGCACHE_CHECK failure hook,
-/// and from the SIGUSR1 handler — so a dying stress run ships its last-N
-/// thousand events instead of a bare counter dump.
-///
-/// Ring wraparound intentionally overwrites the oldest events (the recorder
-/// keeps the *recent* past). Events are only ever *lost* — counted in
-/// lost_events() — when more threads record concurrently than there are
-/// segments to lease; segments are returned to the free list at thread exit
-/// and reused (their parked events survive until the next lease overwrites
-/// them).
+/// Dumps are loose snapshots that discard torn slots, never emit them.
+/// Dumping is expected at three moments — on demand (shell `\flight`,
+/// replayer `!flightdump`), from the AGGCACHE_CHECK failure hook, and from
+/// the SIGUSR1 handler — so a dying stress run ships its last-N thousand
+/// events instead of a bare counter dump.
 class FlightRecorder {
  public:
   struct Options {
-    /// Events per thread segment; must be a power of two.
+    /// Events per thread segment; rounded up to a power of two.
     size_t events_per_segment = 2048;
     /// Maximum simultaneously-recording threads.
     size_t max_segments = 64;
@@ -78,7 +64,6 @@ class FlightRecorder {
   };
 
   explicit FlightRecorder(Options options);
-  ~FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -93,19 +78,13 @@ class FlightRecorder {
   void Record(FlightEventType type, uint64_t a = 0, uint64_t b = 0,
               const char* detail = nullptr);
 
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  void set_enabled(bool enabled) { ring_.set_enabled(enabled); }
+  bool enabled() const { return ring_.enabled(); }
 
   /// Events dropped because every segment was leased by some other thread.
-  uint64_t lost_events() const {
-    return lost_.load(std::memory_order_relaxed);
-  }
+  uint64_t lost_events() const { return ring_.lost(); }
   /// Events successfully recorded (including ones since overwritten).
-  uint64_t recorded_events() const {
-    return next_seq_.load(std::memory_order_relaxed);
-  }
+  uint64_t recorded_events() const { return ring_.recorded(); }
 
   /// One harvested event, already validated (sequence stable across the
   /// payload read).
@@ -142,31 +121,13 @@ class FlightRecorder {
   static bool RequestedDumpPending();
 
   /// Number of segments currently leased (tests).
-  size_t active_segments() const;
+  size_t active_segments() const { return ring_.active_segments(); }
 
  private:
-  struct Slot;
-  struct Segment;
-
-  Segment* LeaseSegment();
-  void ReleaseSegment(Segment* segment);
-
-  friend struct FlightThreadLease;
-
-  Options options_;
-  /// Process-unique, never reused. Thread-local leases key on this rather
-  /// than the recorder's address: a stack-allocated recorder can die and a
-  /// new one can reuse the same address within a lease's lifetime.
-  const uint64_t instance_id_;
+  /// Payload words: t_us, type, a, b, detail[3].
+  using Ring = EventRing<7>;
+  Ring ring_;
   uint64_t t0_us_ = 0;
-  std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> next_seq_{0};
-  std::atomic<uint64_t> lost_{0};
-  std::atomic<uint32_t> next_thread_id_{0};
-
-  mutable std::mutex segments_mu_;  ///< Lease/release + dump only.
-  std::vector<std::unique_ptr<Segment>> segments_;
-  std::vector<Segment*> free_segments_;
 };
 
 /// Convenience wrapper: FlightRecorder::Global().Record(...). Defined out

@@ -33,15 +33,10 @@ MetricsHistory::Options MetricsHistory::OptionsFromEnv() {
   char* end = nullptr;
   long period = std::strtol(head.c_str(), &end, 10);
   if (end != head.c_str() && period > 0) options.period_ms = period;
-  while (comma != std::string::npos) {
-    size_t start = comma + 1;
-    comma = spec.find(',', start);
-    std::string token = spec.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    size_t eq = token.find('=');
-    if (eq == std::string::npos) continue;
-    if (token.substr(0, eq) == "capacity") {
-      long n = std::strtol(token.c_str() + eq + 1, nullptr, 10);
+  if (comma == std::string::npos) return options;
+  for (const auto& [key, value] : SplitKeyValueSpec(spec.substr(comma + 1))) {
+    if (key == "capacity") {
+      long n = std::strtol(value.c_str(), nullptr, 10);
       if (n > 0) options.capacity = static_cast<size_t>(n);
     }
   }

@@ -172,36 +172,6 @@ const char* KindName(bool is_counter, bool is_gauge) {
   return is_counter ? "counter" : (is_gauge ? "gauge" : "histogram");
 }
 
-/// Minimal JSON string escaping — metric names and help texts are ASCII by
-/// convention, but a dump must never emit malformed JSON.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// {k="v",...} for the Prometheus value line; "" when unlabeled. Label
 /// value escaping (backslash, quote, newline) matches the exposition
 /// format's rules, which JsonEscape's subset covers.
@@ -368,15 +338,7 @@ bool ParseDumpEnv(DumperState* state) {
     return true;
   }
 
-  for (size_t start = 0; start <= spec.size();) {
-    size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) comma = spec.size();
-    std::string part = spec.substr(start, comma - start);
-    start = comma + 1;
-    size_t eq = part.find('=');
-    if (eq == std::string::npos) continue;
-    std::string key = part.substr(0, eq);
-    std::string value = part.substr(eq + 1);
+  for (const auto& [key, value] : SplitKeyValueSpec(spec)) {
     if (key == "period_ms") {
       long parsed = std::strtol(value.c_str(), nullptr, 10);
       if (parsed > 0) state->period = std::chrono::milliseconds(parsed);

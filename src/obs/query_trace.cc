@@ -10,34 +10,6 @@ namespace {
 
 thread_local QueryTrace* t_current_trace = nullptr;
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string RenderTidRange(const SubjoinTrace::TidRange& range) {
   if (range.empty) return range.column + " tid=[empty]";
   return StrFormat("%s tid=[%lld,%lld]", range.column.c_str(),

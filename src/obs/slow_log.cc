@@ -19,24 +19,13 @@ void SlowQueryLog::ConfigureFromEnv() {
   Options options;
   // Spec: "<ms>[,dir=<path>][,files=<n>][,keep=<records>]".
   std::string spec(env);
-  size_t pos = 0;
-  bool first = true;
-  while (pos <= spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    std::string token = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (first) {
-      first = false;
-      char* end = nullptr;
-      options.threshold_ms = std::strtod(token.c_str(), &end);
-      if (end == token.c_str() || options.threshold_ms <= 0) return;
-      continue;
-    }
-    size_t eq = token.find('=');
-    if (eq == std::string::npos) continue;
-    std::string key = token.substr(0, eq);
-    std::string value = token.substr(eq + 1);
+  size_t comma = spec.find(',');
+  std::string head = spec.substr(0, comma);
+  char* end = nullptr;
+  options.threshold_ms = std::strtod(head.c_str(), &end);
+  if (end == head.c_str() || options.threshold_ms <= 0) return;
+  std::string rest = comma == std::string::npos ? "" : spec.substr(comma + 1);
+  for (const auto& [key, value] : SplitKeyValueSpec(rest)) {
     if (key == "dir") {
       options.dir = value;
     } else if (key == "files") {

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 
 #include "common/string_util.h"
 
@@ -18,31 +17,6 @@ uint64_t SteadyMicros() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-size_t RoundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-// Live-instance registry, keyed address -> instance id; same lifetime
-// protocol as the flight recorder's (a thread-local lease can outlive a
-// stack-allocated recorder whose address a successor then reuses). Leaked
-// so leases draining at thread/process exit always find it alive.
-std::mutex& LiveSpanRecordersMutex() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::map<const void*, uint64_t>& LiveSpanRecorders() {
-  static auto* live = new std::map<const void*, uint64_t>();
-  return *live;
-}
-
-uint64_t NextInstanceId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 /// The innermost active span on this thread. Plain (non-atomic) TLS: only
@@ -61,15 +35,8 @@ SpanRecorder::Options ParseSpanEnv() {
   if (spec == "off" || spec == "0" || spec.empty()) return options;
   options.enabled = true;
   if (spec == "on" || spec == "1") return options;
-  for (size_t start = 0; start <= spec.size();) {
-    size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) comma = spec.size();
-    std::string part = spec.substr(start, comma - start);
-    start = comma + 1;
-    size_t eq = part.find('=');
-    if (eq == std::string::npos) continue;
-    std::string key = part.substr(0, eq);
-    long value = std::strtol(part.c_str() + eq + 1, nullptr, 10);
+  for (const auto& [key, text] : SplitKeyValueSpec(spec)) {
+    long value = std::strtol(text.c_str(), nullptr, 10);
     if (key == "sample" && value > 0) {
       options.sample_every = static_cast<uint64_t>(value);
     } else if (key == "spans" && value > 0) {
@@ -124,127 +91,18 @@ const char* SpanKindToString(SpanKind kind) {
   return "unknown";
 }
 
-/// One span slot, all fields atomic so TSAN sees every cross-thread access
-/// as intentionally racy-by-protocol. `seq` doubles as the publication
-/// token: 0 = slot being (re)written, nonzero = payload at that sequence.
-struct SpanRecorder::Slot {
-  std::atomic<uint64_t> seq{0};
-  std::atomic<uint64_t> start_us{0};
-  std::atomic<uint64_t> dur_us{0};
-  /// Packed: bits 0..7 span kind, bits 8..39 recorder thread id.
-  std::atomic<uint64_t> meta{0};
-  std::atomic<uint64_t> span_id{0};
-  std::atomic<uint64_t> parent_id{0};
-  std::atomic<uint64_t> query_id{0};
-  /// Truncated label, two 8-byte words (NUL padding included).
-  std::atomic<uint64_t> detail[2] = {};
-  /// Hardware-counter deltas (0 = not measured).
-  std::atomic<uint64_t> cycles{0};
-  std::atomic<uint64_t> instructions{0};
-  std::atomic<uint64_t> llc_misses{0};
-};
-
-/// A per-thread ring of slots. Only the leasing thread advances `cursor`;
-/// dump threads read slots concurrently through the seq protocol.
-struct SpanRecorder::Segment {
-  explicit Segment(size_t n) : mask(n - 1), slots(new Slot[n]) {}
-  const size_t mask;
-  std::atomic<size_t> cursor{0};
-  std::unique_ptr<Slot[]> slots;
-  uint32_t thread_id = 0;
-};
-
-struct SpanThreadLease {
-  /// Thread-local lease, identical in shape to FlightThreadLease: acquired
-  /// on a thread's first Record(), returned through the live-instance
-  /// registry at thread exit (dropped if the recorder died first).
-  struct Impl {
-    SpanRecorder* recorder = nullptr;
-    uint64_t instance_id = 0;
-    SpanRecorder::Segment* segment = nullptr;
-    ~Impl() { Release(recorder, instance_id, segment); }
-  };
-
-  static void Release(SpanRecorder* recorder, uint64_t instance_id,
-                      SpanRecorder::Segment* segment) {
-    if (recorder == nullptr || segment == nullptr) return;
-    std::lock_guard<std::mutex> lock(LiveSpanRecordersMutex());
-    auto it = LiveSpanRecorders().find(recorder);
-    if (it != LiveSpanRecorders().end() && it->second == instance_id) {
-      recorder->ReleaseSegment(segment);
-    }
-  }
-
-  static SpanRecorder::Segment* Get(SpanRecorder* recorder) {
-    thread_local Impl lease;
-    if (lease.instance_id != recorder->instance_id_) {
-      Release(lease.recorder, lease.instance_id, lease.segment);
-      lease.recorder = recorder;
-      lease.instance_id = recorder->instance_id_;
-      lease.segment = recorder->LeaseSegment();
-    } else if (lease.segment == nullptr) {
-      // Starved earlier (every segment was leased); retry — a segment may
-      // have been freed by an exiting thread since.
-      lease.segment = recorder->LeaseSegment();
-    }
-    return lease.segment;
-  }
-};
-
 SpanRecorder::SpanRecorder(Options options)
-    : options_(options),
-      instance_id_(NextInstanceId()),
-      t0_us_(SteadyMicros()) {
-  options_.spans_per_segment =
-      RoundUpPow2(std::max<size_t>(options_.spans_per_segment, 8));
-  options_.max_segments = std::max<size_t>(options_.max_segments, 1);
-  options_.sample_every = std::max<uint64_t>(options_.sample_every, 1);
-  enabled_.store(options_.enabled, std::memory_order_relaxed);
-  segments_.reserve(options_.max_segments);
-  std::lock_guard<std::mutex> lock(LiveSpanRecordersMutex());
-  LiveSpanRecorders()[this] = instance_id_;
-}
-
-SpanRecorder::~SpanRecorder() {
-  std::lock_guard<std::mutex> lock(LiveSpanRecordersMutex());
-  LiveSpanRecorders().erase(this);
-}
+    : ring_(options.spans_per_segment, options.max_segments, options.enabled),
+      sample_every_(std::max<uint64_t>(options.sample_every, 1)),
+      t0_us_(SteadyMicros()) {}
 
 uint64_t SpanRecorder::NowMicros() const { return SteadyMicros() - t0_us_; }
 
 bool SpanRecorder::SampleTick() {
-  if (options_.sample_every == 1) return true;
+  if (sample_every_ == 1) return true;
   return sample_tick_.fetch_add(1, std::memory_order_relaxed) %
-             options_.sample_every ==
+             sample_every_ ==
          0;
-}
-
-SpanRecorder::Segment* SpanRecorder::LeaseSegment() {
-  std::lock_guard<std::mutex> lock(segments_mu_);
-  if (!free_segments_.empty()) {
-    Segment* segment = free_segments_.back();
-    free_segments_.pop_back();
-    return segment;
-  }
-  if (segments_.size() < options_.max_segments) {
-    segments_.push_back(
-        std::make_unique<Segment>(options_.spans_per_segment));
-    Segment* segment = segments_.back().get();
-    segment->thread_id =
-        next_thread_id_.fetch_add(1, std::memory_order_relaxed);
-    return segment;
-  }
-  return nullptr;
-}
-
-void SpanRecorder::ReleaseSegment(Segment* segment) {
-  std::lock_guard<std::mutex> lock(segments_mu_);
-  free_segments_.push_back(segment);
-}
-
-size_t SpanRecorder::active_segments() const {
-  std::lock_guard<std::mutex> lock(segments_mu_);
-  return segments_.size() - free_segments_.size();
 }
 
 void SpanRecorder::Record(SpanKind kind, uint64_t span_id,
@@ -252,87 +110,31 @@ void SpanRecorder::Record(SpanKind kind, uint64_t span_id,
                           uint64_t start_us, uint64_t end_us,
                           const char* detail, uint64_t cycles,
                           uint64_t instructions, uint64_t llc_misses) {
-  if (!enabled_.load(std::memory_order_relaxed)) return;
-  Segment* segment = SpanThreadLease::Get(this);
-  if (segment == nullptr) {
-    lost_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  size_t index =
-      segment->cursor.fetch_add(1, std::memory_order_relaxed) & segment->mask;
-  Slot& slot = segment->slots[index];
-  // Unpublish, write the payload relaxed, then publish with release: a
-  // harvester acquiring a nonzero seq sees the matching payload, and one
-  // that catches the slot mid-rewrite sees seq==0 or a seq change and
-  // discards it (same protocol as FlightRecorder::Record).
-  slot.seq.store(0, std::memory_order_release);
-  slot.start_us.store(start_us, std::memory_order_relaxed);
-  slot.dur_us.store(end_us >= start_us ? end_us - start_us : 0,
-                    std::memory_order_relaxed);
-  slot.meta.store(static_cast<uint64_t>(kind) |
-                      (uint64_t{segment->thread_id} << 8),
-                  std::memory_order_relaxed);
-  slot.span_id.store(span_id, std::memory_order_relaxed);
-  slot.parent_id.store(parent_id, std::memory_order_relaxed);
-  slot.query_id.store(query_id, std::memory_order_relaxed);
-  uint64_t words[2] = {0, 0};
-  if (detail != nullptr) {
-    char buf[16] = {};
-    std::strncpy(buf, detail, sizeof(buf) - 1);
-    std::memcpy(words, buf, sizeof(buf));
-  }
-  for (int i = 0; i < 2; ++i) {
-    slot.detail[i].store(words[i], std::memory_order_relaxed);
-  }
-  slot.cycles.store(cycles, std::memory_order_relaxed);
-  slot.instructions.store(instructions, std::memory_order_relaxed);
-  slot.llc_misses.store(llc_misses, std::memory_order_relaxed);
-  slot.seq.store(seq, std::memory_order_release);
+  if (!ring_.enabled()) return;
+  Ring::Payload p = {start_us, end_us >= start_us ? end_us - start_us : 0,
+                     static_cast<uint64_t>(kind), span_id, parent_id,
+                     query_id, cycles, instructions, llc_misses};
+  PackText<2>(detail, &p[9]);
+  ring_.Record(p);
 }
 
 std::vector<SpanRecorder::Span> SpanRecorder::Collect(
     size_t max_spans) const {
   std::vector<Span> spans;
-  {
-    std::lock_guard<std::mutex> lock(segments_mu_);
-    for (const std::unique_ptr<Segment>& segment : segments_) {
-      size_t n = segment->mask + 1;
-      for (size_t i = 0; i < n; ++i) {
-        const Slot& slot = segment->slots[i];
-        uint64_t seq = slot.seq.load(std::memory_order_acquire);
-        if (seq == 0) continue;
-        Span span;
-        span.seq = seq;
-        span.start_us = slot.start_us.load(std::memory_order_relaxed);
-        span.dur_us = slot.dur_us.load(std::memory_order_relaxed);
-        uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-        span.kind = static_cast<SpanKind>(meta & 0xff);
-        span.thread = static_cast<uint32_t>(meta >> 8);
-        span.span_id = slot.span_id.load(std::memory_order_relaxed);
-        span.parent_id = slot.parent_id.load(std::memory_order_relaxed);
-        span.query_id = slot.query_id.load(std::memory_order_relaxed);
-        uint64_t words[2];
-        for (int w = 0; w < 2; ++w) {
-          words[w] = slot.detail[w].load(std::memory_order_relaxed);
-        }
-        std::memcpy(span.detail, words, sizeof(words));
-        span.detail[sizeof(span.detail) - 1] = '\0';
-        span.cycles = slot.cycles.load(std::memory_order_relaxed);
-        span.instructions = slot.instructions.load(std::memory_order_relaxed);
-        span.llc_misses = slot.llc_misses.load(std::memory_order_relaxed);
-        // Torn-read check: a writer lapping this slot mid-harvest changed
-        // (or zeroed) seq; drop the inconsistent snapshot.
-        if (slot.seq.load(std::memory_order_acquire) != seq) continue;
-        spans.push_back(span);
-      }
-    }
-  }
-  std::sort(spans.begin(), spans.end(),
-            [](const Span& x, const Span& y) { return x.seq < y.seq; });
-  if (spans.size() > max_spans) {
-    spans.erase(spans.begin(),
-                spans.end() - static_cast<ptrdiff_t>(max_spans));
+  for (const Ring::Entry& entry : ring_.Collect(max_spans)) {
+    Span& span = spans.emplace_back();
+    span.seq = entry.seq;
+    span.thread = entry.thread;
+    span.start_us = entry.words[0];
+    span.dur_us = entry.words[1];
+    span.kind = static_cast<SpanKind>(entry.words[2]);
+    span.span_id = entry.words[3];
+    span.parent_id = entry.words[4];
+    span.query_id = entry.words[5];
+    span.cycles = entry.words[6];
+    span.instructions = entry.words[7];
+    span.llc_misses = entry.words[8];
+    UnpackText<2>(&entry.words[9], span.detail);
   }
   return spans;
 }
@@ -365,17 +167,7 @@ std::string SpanRecorder::DumpJson(size_t max_spans) const {
     out += ",\"parent\":";
     out += std::to_string(span.parent_id);
     out += ",\"detail\":\"";
-    for (const char* p = span.detail; *p != '\0'; ++p) {
-      char c = *p;
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        out += StrFormat("\\u%04x", c);
-      } else {
-        out += c;
-      }
-    }
+    AppendJsonEscaped(&out, span.detail);
     out += '"';
     // Perf fields only when the region was measured, so traces from hosts
     // without counters (and the byte-exact golden test) are unchanged.

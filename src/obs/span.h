@@ -4,10 +4,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/event_ring.h"
 
 namespace aggcache {
 
@@ -51,10 +51,8 @@ struct SpanLink {
   bool sampled() const { return query_id != 0; }
 };
 
-/// A bounded, lock-free span recorder: the flight recorder's tracing twin.
-/// Same per-thread leased segments, same seq-publication/wraparound
-/// discipline (unpublish → relaxed payload stores → release publish;
-/// harvesters discard torn slots), so recording one finished span costs a
+/// A bounded, lock-free span recorder: the flight recorder's tracing twin,
+/// on the same ring (obs/event_ring.h). Recording one finished span costs a
 /// handful of relaxed atomics plus two steady_clock reads — well under the
 /// ≲50 ns/span budget the hot paths can absorb. Wraparound keeps the recent
 /// past; spans are only *lost* (counted) when more threads record than
@@ -80,7 +78,6 @@ class SpanRecorder {
   };
 
   explicit SpanRecorder(Options options);
-  ~SpanRecorder();
   SpanRecorder(const SpanRecorder&) = delete;
   SpanRecorder& operator=(const SpanRecorder&) = delete;
 
@@ -101,11 +98,9 @@ class SpanRecorder {
               const char* detail = nullptr, uint64_t cycles = 0,
               uint64_t instructions = 0, uint64_t llc_misses = 0);
 
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  uint64_t sample_every() const { return options_.sample_every; }
+  void set_enabled(bool enabled) { ring_.set_enabled(enabled); }
+  bool enabled() const { return ring_.enabled(); }
+  uint64_t sample_every() const { return sample_every_; }
 
   /// Microseconds since recorder construction, on the precise monotonic
   /// clock (spans measure durations, so unlike flight events they cannot
@@ -126,13 +121,9 @@ class SpanRecorder {
   bool SampleTick();
 
   /// Spans dropped because every segment was leased by another thread.
-  uint64_t lost_spans() const {
-    return lost_.load(std::memory_order_relaxed);
-  }
+  uint64_t lost_spans() const { return ring_.lost(); }
   /// Spans successfully recorded (including ones since overwritten).
-  uint64_t recorded_spans() const {
-    return next_seq_.load(std::memory_order_relaxed);
-  }
+  uint64_t recorded_spans() const { return ring_.recorded(); }
 
   /// One harvested span, already validated (sequence stable across the
   /// payload read).
@@ -171,33 +162,18 @@ class SpanRecorder {
   void DumpToStderr(size_t max_spans = 8192) const;
 
   /// Number of segments currently leased (tests).
-  size_t active_segments() const;
+  size_t active_segments() const { return ring_.active_segments(); }
 
  private:
-  struct Slot;
-  struct Segment;
-
-  Segment* LeaseSegment();
-  void ReleaseSegment(Segment* segment);
-
-  friend struct SpanThreadLease;
-
-  Options options_;
-  /// Process-unique, never reused; thread-local leases key on this (see
-  /// FlightRecorder::instance_id_ for the rationale).
-  const uint64_t instance_id_;
+  /// Payload words: start_us, dur_us, kind, span_id, parent_id, query_id,
+  /// cycles, instructions, llc_misses, detail[2].
+  using Ring = EventRing<11>;
+  Ring ring_;
+  const uint64_t sample_every_;
   uint64_t t0_us_ = 0;
-  std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> next_seq_{0};
-  std::atomic<uint64_t> lost_{0};
   std::atomic<uint64_t> next_span_id_{0};
   std::atomic<uint64_t> next_query_id_{0};
   std::atomic<uint64_t> sample_tick_{0};
-  std::atomic<uint32_t> next_thread_id_{0};
-
-  mutable std::mutex segments_mu_;  ///< Lease/release + dump only.
-  std::vector<std::unique_ptr<Segment>> segments_;
-  std::vector<Segment*> free_segments_;
 };
 
 /// The innermost active span on this thread, or an unsampled link. Capture

@@ -196,18 +196,8 @@ MergeDaemonOptions MergeDaemon::OptionsFromEnv(bool* enabled) {
     *enabled = false;
     return options;
   }
-  std::vector<std::string> parts;
-  for (size_t start = 0; start <= spec.size();) {
-    size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) comma = spec.size();
-    parts.push_back(spec.substr(start, comma - start));
-    start = comma + 1;
-  }
-  for (const std::string& part : parts) {
-    size_t eq = part.find('=');
-    if (eq == std::string::npos) continue;
-    std::string key = part.substr(0, eq);
-    long value = std::strtol(part.c_str() + eq + 1, nullptr, 10);
+  for (const auto& [key, text] : SplitKeyValueSpec(spec)) {
+    long value = std::strtol(text.c_str(), nullptr, 10);
     if (value < 0) continue;
     if (key == "poll_ms") {
       options.poll_interval = std::chrono::milliseconds(value);

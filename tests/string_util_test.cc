@@ -32,5 +32,22 @@ TEST(HumanBytesTest, PicksUnits) {
   EXPECT_EQ(HumanBytes(size_t{5} << 30), "5.0 GiB");
 }
 
+TEST(JsonEscapeTest, EscapesQuoteBackslashAndControlBytes) {
+  std::string out = "prefix:";
+  AppendJsonEscaped(&out, "a\"b\\c\nd\te\x01" "f");
+  EXPECT_EQ(out, "prefix:a\\\"b\\\\c\\nd\\te\\u0001f");
+  EXPECT_EQ(JsonEscape("plain text"), "plain text");
+}
+
+TEST(SplitKeyValueSpecTest, SplitsPairsAndSkipsBareParts) {
+  auto pairs = SplitKeyValueSpec("on,events=4096,,dir=a=b,threads=");
+  ASSERT_EQ(pairs.size(), 3u);
+  EXPECT_EQ(pairs[0], std::make_pair(std::string("events"),
+                                     std::string("4096")));
+  EXPECT_EQ(pairs[1], std::make_pair(std::string("dir"), std::string("a=b")));
+  EXPECT_EQ(pairs[2], std::make_pair(std::string("threads"), std::string()));
+  EXPECT_TRUE(SplitKeyValueSpec("").empty());
+}
+
 }  // namespace
 }  // namespace aggcache
