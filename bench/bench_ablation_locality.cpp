@@ -56,10 +56,12 @@ void Run(BenchContext& ctx) {
     size_t late_items = new_items * late_percent / 100;
     CheckOk(dataset.InsertLateItems(rng, late_items), "late items");
 
+    CacheExecStats exec_stats;
     auto measure = [&](ExecutionStrategy strategy, bool pushdown) {
       ExecutionOptions options;
       options.strategy = strategy;
       options.use_predicate_pushdown = pushdown;
+      options.stats = &exec_stats;
       return MeasureMs(kReps, [&] {
         Transaction txn = db.Begin();
         CheckOk(cache.Execute(query, txn, options).status(), "execute");
@@ -67,8 +69,8 @@ void Run(BenchContext& ctx) {
     };
 
     LatencyStats full = measure(ExecutionStrategy::kCachedFullPruning, false);
-    uint64_t pruned = cache.last_exec_stats().subjoins_pruned;
-    uint64_t considered = pruned + cache.last_exec_stats().subjoins_executed;
+    uint64_t pruned = exec_stats.subjoins_pruned;
+    uint64_t considered = pruned + exec_stats.subjoins_executed;
     LatencyStats pushed =
         measure(ExecutionStrategy::kCachedFullPruning, true);
     LatencyStats none = measure(ExecutionStrategy::kCachedNoPruning, false);

@@ -78,15 +78,17 @@ void Run(BenchContext& ctx) {
     AggregateQuery query = scenario.dataset->ProfitByCategoryQuery(2013);
     CheckOk(cache.Prewarm(query), "prewarm");
 
+    CacheExecStats exec_stats;
     ExecutionOptions full;
     full.strategy = ExecutionStrategy::kCachedFullPruning;
+    full.stats = &exec_stats;
     LatencyStats full_stats = MeasureMs(kReps, [&] {
       Transaction txn = db.Begin();
       CheckOk(cache.Execute(query, txn, full).status(), "full");
     });
     double full_ms = full_stats.median_ms;
-    uint64_t pruned = cache.last_exec_stats().subjoins_pruned;
-    uint64_t total = pruned + cache.last_exec_stats().subjoins_executed;
+    uint64_t pruned = exec_stats.subjoins_pruned;
+    uint64_t total = pruned + exec_stats.subjoins_executed;
 
     ExecutionOptions no_pruning;
     no_pruning.strategy = ExecutionStrategy::kCachedNoPruning;

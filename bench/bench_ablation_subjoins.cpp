@@ -113,32 +113,36 @@ void Run(BenchContext& ctx) {
     const AggregateQuery& query = chain.queries[t - 1];
     CheckOk(cache.Prewarm(query), "prewarm");
 
+    CacheExecStats exec_stats;
     ExecutionOptions uncached;
     uncached.strategy = ExecutionStrategy::kUncached;
+    uncached.stats = &exec_stats;
     LatencyStats uncached_stats = MeasureMs(kReps, [&] {
       Transaction txn = chain.db->Begin();
       CheckOk(cache.Execute(query, txn, uncached).status(), "uncached");
     });
     double uncached_ms = uncached_stats.median_ms;
-    uint64_t uncached_subjoins = cache.last_exec_stats().subjoins_executed;
+    uint64_t uncached_subjoins = exec_stats.subjoins_executed;
 
     ExecutionOptions no_pruning;
     no_pruning.strategy = ExecutionStrategy::kCachedNoPruning;
+    no_pruning.stats = &exec_stats;
     LatencyStats no_pruning_stats = MeasureMs(kReps, [&] {
       Transaction txn = chain.db->Begin();
       CheckOk(cache.Execute(query, txn, no_pruning).status(), "np");
     });
     double no_pruning_ms = no_pruning_stats.median_ms;
-    uint64_t np_subjoins = cache.last_exec_stats().subjoins_executed;
+    uint64_t np_subjoins = exec_stats.subjoins_executed;
 
     ExecutionOptions full;
     full.strategy = ExecutionStrategy::kCachedFullPruning;
+    full.stats = &exec_stats;
     LatencyStats full_stats = MeasureMs(kReps, [&] {
       Transaction txn = chain.db->Begin();
       CheckOk(cache.Execute(query, txn, full).status(), "full");
     });
     double full_ms = full_stats.median_ms;
-    uint64_t full_subjoins = cache.last_exec_stats().subjoins_executed;
+    uint64_t full_subjoins = exec_stats.subjoins_executed;
 
     std::map<std::string, std::string> t_label = {
         {"t_tables", StrFormat("%zu", t)}};

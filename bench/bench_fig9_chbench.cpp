@@ -53,15 +53,17 @@ void Run(BenchContext& ctx) {
     uint64_t pruned = 0;
     uint64_t total = 0;
     for (const StrategySpec& s : strategies) {
+      CacheExecStats exec_stats;
       ExecutionOptions options;
       options.strategy = s.strategy;
+      options.stats = &exec_stats;
       LatencyStats stats = MeasureMs(kReps, [&] {
         Transaction txn = db.Begin();
         CheckOk(cache.Execute(query, txn, options).status(), "execute");
       });
       if (s.strategy == ExecutionStrategy::kCachedFullPruning) {
-        pruned = cache.last_exec_stats().subjoins_pruned;
-        total = pruned + cache.last_exec_stats().subjoins_executed;
+        pruned = exec_stats.subjoins_pruned;
+        total = pruned + exec_stats.subjoins_executed;
       }
       ctx.report().AddLatency("query_ms",
                               {{"strategy", s.label},

@@ -356,7 +356,6 @@ void RunCheckpoint(Database& db, AggregateCacheManager& cache,
 }
 
 int Run(int argc, char** argv) {
-  MetricsDumper::MaybeStartFromEnv();
   FlightRecorder::InstallSignalHandler();
   // AGGCACHE_OBS_ADDR=host:port serves the live-introspection endpoints
   // (/queries, /queries/cancel, /slowlog, /metrics/history, ...) while the

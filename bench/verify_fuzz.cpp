@@ -221,7 +221,6 @@ int CheckMetricsInvariants() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  aggcache::MetricsDumper::MaybeStartFromEnv();
   // Long fuzz campaigns are exactly when live introspection pays off:
   // AGGCACHE_OBS_ADDR exposes /queries, /slowlog, /metrics/history, ...
   // for the whole run. The server only reads process-global state.

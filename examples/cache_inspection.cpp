@@ -72,9 +72,12 @@ int main() {
   AggregateCacheManager::Config picky_config;
   picky_config.min_main_exec_ms = 1e6;
   AggregateCacheManager picky(&db, picky_config);
-  if (!picky.Execute(profit_2013, txn).ok()) return 1;
+  CacheExecStats stats;
+  ExecutionOptions options;
+  options.stats = &stats;
+  if (!picky.Execute(profit_2013, txn, options).ok()) return 1;
   std::printf("\npicky cache admitted %zu entries (used_cache=%d)\n",
-              picky.num_entries(), picky.last_exec_stats().used_cache);
+              picky.num_entries(), stats.used_cache);
 
   // Queries with non-self-maintainable aggregates never qualify (Fig. 3's
   // "qualifies for aggregate cache" gate).
@@ -83,8 +86,8 @@ int main() {
                               .GroupBy("Item", "CategoryID")
                               .Max("Item", "Price", "max_price")
                               .Build();
-  if (!cache.Execute(minmax, txn).ok()) return 1;
+  if (!cache.Execute(minmax, txn, options).ok()) return 1;
   std::printf("MIN/MAX query executed without the cache (used_cache=%d)\n",
-              cache.last_exec_stats().used_cache);
+              stats.used_cache);
   return 0;
 }

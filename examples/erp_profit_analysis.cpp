@@ -28,8 +28,10 @@ void CompareStrategies(AggregateCacheManager& cache,
       {"cached, full pruning", ExecutionStrategy::kCachedFullPruning},
   };
   for (const StrategyRun& run : runs) {
+    CacheExecStats stats;
     ExecutionOptions options;
     options.strategy = run.strategy;
+    options.stats = &stats;
     Stopwatch watch;
     Transaction txn = db.Begin();
     auto result = cache.Execute(query, txn, options);
@@ -40,10 +42,8 @@ void CompareStrategies(AggregateCacheManager& cache,
     }
     std::printf("  %-30s %8.3f ms   (%llu subjoins executed, %llu pruned)\n",
                 run.label, watch.ElapsedMillis(),
-                static_cast<unsigned long long>(
-                    cache.last_exec_stats().subjoins_executed),
-                static_cast<unsigned long long>(
-                    cache.last_exec_stats().subjoins_pruned));
+                static_cast<unsigned long long>(stats.subjoins_executed),
+                static_cast<unsigned long long>(stats.subjoins_pruned));
   }
 }
 

@@ -62,8 +62,10 @@ int main() {
   for (ExecutionStrategy strategy :
        {ExecutionStrategy::kUncached, ExecutionStrategy::kCachedNoPruning,
         ExecutionStrategy::kCachedFullPruning}) {
+    CacheExecStats stats;
     ExecutionOptions options;
     options.strategy = strategy;
+    options.stats = &stats;
     Stopwatch watch;
     Transaction txn = db.Begin();
     auto result = cache.Execute(query, txn, options);
@@ -73,10 +75,8 @@ int main() {
     }
     std::printf("%-22s %8.3f ms  (%llu subjoins executed, %llu pruned)\n",
                 ExecutionStrategyToString(strategy), watch.ElapsedMillis(),
-                static_cast<unsigned long long>(
-                    cache.last_exec_stats().subjoins_executed),
-                static_cast<unsigned long long>(
-                    cache.last_exec_stats().subjoins_pruned));
+                static_cast<unsigned long long>(stats.subjoins_executed),
+                static_cast<unsigned long long>(stats.subjoins_pruned));
   }
 
   // The cache entry keeps one partial result per all-main combination;

@@ -157,14 +157,15 @@ int main() {
 
     Stopwatch watch;
     Transaction txn = db.Begin();
-    auto result = cache.Execute(parsed->select, txn);
+    CacheExecStats stats;
+    ExecutionOptions options;
+    options.stats = &stats;
+    auto result = cache.Execute(parsed->select, txn, options);
     if (!result.ok()) return 1;
     std::printf("round %d: %zu groups in %.3f ms (%s, %llu subjoins pruned)\n",
                 round + 1, result->num_groups(), watch.ElapsedMillis(),
-                cache.last_exec_stats().cache_hit ? "cache hit"
-                                                  : "entry created",
-                static_cast<unsigned long long>(
-                    cache.last_exec_stats().subjoins_pruned));
+                stats.cache_hit ? "cache hit" : "entry created",
+                static_cast<unsigned long long>(stats.subjoins_pruned));
   }
 
   // Final consistency check against uncached execution.

@@ -12,6 +12,7 @@ namespace {
 using aggcache::AggregateCacheManager;
 using aggcache::AggregateQuery;
 using aggcache::AggregateResult;
+using aggcache::CacheExecStats;
 using aggcache::Database;
 using aggcache::ErpConfig;
 using aggcache::ErpDataset;
@@ -54,7 +55,10 @@ int main() {
   // First execution: cache miss, entry is built on the main partitions.
   {
     Transaction txn = db.Begin();
-    auto result = cache.Execute(query, txn);
+    CacheExecStats stats;
+    ExecutionOptions options;
+    options.stats = &stats;
+    auto result = cache.Execute(query, txn, options);
     if (!result.ok()) {
       std::fprintf(stderr, "execute: %s\n",
                    result.status().ToString().c_str());
@@ -63,7 +67,7 @@ int main() {
     PrintResult("Initial result (cache miss, entry created):", query,
                 result.value());
     std::printf("  [entry_created=%d, cache entries=%zu]\n\n",
-                cache.last_exec_stats().entry_created, cache.num_entries());
+                stats.entry_created, cache.num_entries());
   }
 
   // Insert new business objects; they land in the delta partitions only.
@@ -81,18 +85,18 @@ int main() {
   // the object-aware pruning skips the main x delta subjoins.
   {
     Transaction txn = db.Begin();
+    CacheExecStats stats;
     ExecutionOptions options;
     options.strategy = ExecutionStrategy::kCachedFullPruning;
+    options.stats = &stats;
     auto result = cache.Execute(query, txn, options);
     if (!result.ok()) return 1;
     PrintResult("After 50 new business objects (cache hit + compensation):",
                 query, result.value());
     std::printf("  [cache_hit=%d, subjoins executed=%llu, pruned=%llu]\n\n",
-                cache.last_exec_stats().cache_hit,
-                static_cast<unsigned long long>(
-                    cache.last_exec_stats().subjoins_executed),
-                static_cast<unsigned long long>(
-                    cache.last_exec_stats().subjoins_pruned));
+                stats.cache_hit,
+                static_cast<unsigned long long>(stats.subjoins_executed),
+                static_cast<unsigned long long>(stats.subjoins_pruned));
   }
 
   // Merge: deltas move into the mains; the cache entry is maintained

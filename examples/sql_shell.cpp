@@ -210,7 +210,8 @@ void RunStatement(const std::string& sql, Database& db,
     Transaction txn = db.Begin();
     ExecutionOptions options;
     options.strategy = g_strategy;
-    auto result = cache.ExecuteTraced(parsed->select, txn, options, &trace);
+    options.trace = &trace;
+    auto result = cache.Execute(parsed->select, txn, options);
     if (!result.ok()) {
       std::printf("  error: %s\n", result.status().ToString().c_str());
       return;
@@ -226,8 +227,10 @@ void RunStatement(const std::string& sql, Database& db,
   }
   Stopwatch watch;
   Transaction txn = db.Begin();
+  CacheExecStats stats;
   ExecutionOptions options;
   options.strategy = g_strategy;
+  options.stats = &stats;
   auto result = cache.Execute(parsed->select, txn, options);
   if (!result.ok()) {
     std::printf("  error: %s\n", result.status().ToString().c_str());
@@ -239,7 +242,6 @@ void RunStatement(const std::string& sql, Database& db,
     for (const Value& v : row) std::printf(" %-16s", v.ToString().c_str());
     std::printf("\n");
   }
-  const CacheExecStats& stats = cache.last_exec_stats();
   std::printf("  -- %zu groups in %.3f ms (%s%s; %llu subjoins, %llu "
               "pruned)\n",
               result->num_groups(), watch.ElapsedMillis(),
@@ -278,7 +280,6 @@ int main() {
                 static_cast<unsigned long long>(report.replayed_records),
                 report.wal_clean ? "" : " (torn tail truncated)");
   }
-  MetricsDumper::MaybeStartFromEnv();
 
   bool preloaded = db->TableNames().empty();
   if (preloaded) {

@@ -67,6 +67,31 @@ bool QueryUsesTable(const AggregateQuery& query, const Table& table) {
   return false;
 }
 
+/// The snapshot to (re)build an entry at for a caller reading at
+/// `snapshot`. An entry built at a snapshot older than a main change would
+/// show every later reader the main image of that older snapshot: rows a
+/// merge moved into main stay hidden, and an invalidation already counted
+/// is never compensated (IsDirty compares counts). When some main row was
+/// created or invalidated by a transaction `snapshot` does not see, the
+/// entry is built at the current snapshot instead, and a caller older than
+/// the entry answers uncached.
+Snapshot EntryBuildSnapshot(const Database& db, const BoundQuery& bound,
+                            Snapshot snapshot) {
+  for (const Table* table : bound.tables) {
+    for (size_t g = 0; g < table->num_groups(); ++g) {
+      const Partition& main = table->group(g).main;
+      for (size_t row = 0; row < main.num_rows(); ++row) {
+        Tid invalidated = main.invalidate_tid(row);
+        if (!snapshot.TidStable(main.create_tid(row)) ||
+            (invalidated != kNoTid && !snapshot.TidStable(invalidated))) {
+          return db.txn_manager().GlobalSnapshot();
+        }
+      }
+    }
+  }
+  return snapshot;
+}
+
 void AppendPerfJson(std::string* out, const PerfDelta& delta) {
   *out += StrFormat(
       "{\"cycles\":%llu,\"instructions\":%llu,\"ipc\":%.2f,"
@@ -119,8 +144,7 @@ std::string BuildSlowQueryRecord(const std::string& statement,
   }
   SpanRecorder& recorder = SpanRecorder::Global();
   if (span_query_id != 0 && recorder.enabled()) {
-    // The root span itself records at destruction (after this), so the
-    // subtree holds the completed child spans.
+    // The root has already ended, so the subtree is the complete tree.
     out += ",\"spans\":[";
     bool first = true;
     for (const SpanRecorder::Span& span : recorder.Collect()) {
@@ -323,14 +347,11 @@ void AggregateCacheManager::RemoveEntry(
 
 Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
                                            const BoundQuery& bound,
-                                           Snapshot snapshot) {
+                                           Snapshot snapshot,
+                                           CacheExecStats* stats) {
   RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("cache.build"));
   EngineMetrics::Get().cache_rebuilds->Increment();
-  ScopedSpan build_span(SpanKind::kEntryBuild);
-  PerfPhaseRegion build_perf(SpanKindToString(SpanKind::kEntryBuild),
-                             &build_span);
-  ActiveQueryGuard::CurrentSetPhase(SpanKindToString(SpanKind::kEntryBuild));
-  Stopwatch watch;
+  Phase build(SpanKind::kEntryBuild);
   entry.main_partials().clear();
   // Cross-temperature all-main combos can be pruned logically at build time
   // (Section 5.4); tid-range pruning is sound here as well. Prune decisions
@@ -372,10 +393,12 @@ Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
   // Stats merge all-or-none before the error check, matching the registry
   // flushes each subjoin already performed on its worker.
   uint64_t rows_aggregated = 0;
+  uint64_t subjoins_executed = 0;
   Status first_error;
   for (size_t i = 0; i < combos.size(); ++i) {
     executor_.stats().MergeFrom(task_stats[i]);
     rows_aggregated += task_stats[i].rows_scanned;
+    subjoins_executed += task_stats[i].subjoins_executed;
     if (first_error.ok() && !task_status[i].ok()) first_error = task_status[i];
   }
   RETURN_IF_ERROR(first_error);
@@ -384,13 +407,16 @@ Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
   }
   RefreshSnapshots(entry, bound, snapshot);
   RefreshEntrySize(entry);
-  entry.metrics().main_exec_ms = watch.ElapsedMillis();
+  build.End();
+  entry.metrics().main_exec_ms = build.elapsed_ms();
   entry.metrics().main_rows_aggregated = rows_aggregated;
-  CacheEntryMetrics::Ewma(entry.metrics().ewma_rebuild_ms,
-                          watch.ElapsedMillis());
+  CacheEntryMetrics::Ewma(entry.metrics().ewma_rebuild_ms, build.elapsed_ms());
   entry.ClearRebuildMark();
-  EngineMetrics::Get().cache_build_us->Observe(
-      static_cast<uint64_t>(watch.ElapsedNanos() / 1000));
+  EngineMetrics::Get().cache_build_us->Observe(build.elapsed_us());
+  if (stats != nullptr) {
+    stats->subjoins_executed += subjoins_executed;
+    stats->main_exec_ms = build.elapsed_ms();
+  }
   return Status::Ok();
 }
 
@@ -417,8 +443,8 @@ void AggregateCacheManager::RefreshSnapshots(CacheEntry& entry,
 }
 
 StatusOr<std::shared_ptr<CacheEntry>> AggregateCacheManager::GetOrCreateEntry(
-    const BoundQuery& bound, Snapshot snapshot, CacheExecStats* stats) {
-  CacheKey key = MakeCacheKey(*bound.query);
+    const BoundQuery& bound, const CacheKey& key, Snapshot snapshot,
+    CacheExecStats* stats) {
   Shard& shard = ShardFor(key);
 
   // Degradation ladder: while the process tracker reports memory pressure,
@@ -482,17 +508,15 @@ StatusOr<std::shared_ptr<CacheEntry>> AggregateCacheManager::GetOrCreateEntry(
     Status build_status;
     {
       std::unique_lock<std::shared_mutex> value_lock(entry->value_mutex());
-      build_status = RebuildEntry(*entry, bound, snapshot);
+      build_status = RebuildEntry(
+          *entry, bound, EntryBuildSnapshot(*db_, bound, snapshot), stats);
     }
     if (!build_status.ok()) {
       RemoveEntry(entry);
       entry->SetState(EntryState::kEvicted);
       return build_status;
     }
-    if (stats != nullptr) {
-      stats->entry_created = true;
-      stats->main_exec_ms = entry->metrics().main_exec_ms;
-    }
+    if (stats != nullptr) stats->entry_created = true;
 
     // Warm restart: a descriptor recovered from the last checkpoint proves
     // this aggregate earned its place before the restart, so it bypasses
@@ -557,31 +581,22 @@ Status AggregateCacheManager::MainCompensate(CacheEntry& entry,
                                              Snapshot snapshot,
                                              CacheExecStats* stats) {
   if (!entry.IsDirty(bound.tables)) return Status::Ok();
-  ScopedSpan comp_span(SpanKind::kMainCorrection);
-  PerfPhaseRegion comp_perf(SpanKindToString(SpanKind::kMainCorrection),
-                            &comp_span);
-  ActiveQueryGuard::CurrentSetPhase(
-      SpanKindToString(SpanKind::kMainCorrection));
-  Stopwatch watch;
-  auto observe_latency = [&watch] {
-    EngineMetrics::Get().cache_main_comp_us->Observe(
-        static_cast<uint64_t>(watch.ElapsedNanos() / 1000));
+  Phase phase(SpanKind::kMainCorrection);
+  auto finish = [&] {
+    phase.End();
+    if (stats != nullptr) stats->main_comp_ms += phase.elapsed_ms();
+    EngineMetrics::Get().cache_main_comp_us->Observe(phase.elapsed_us());
+    return Status::Ok();
   };
   if (bound.tables.size() > 1) {
     if (config_.incremental_join_main_compensation) {
-      RETURN_IF_ERROR(JoinMainCompensate(entry, bound, snapshot));
-      if (stats != nullptr) stats->main_comp_ms += watch.ElapsedMillis();
+      RETURN_IF_ERROR(JoinMainCompensate(entry, bound, snapshot, stats));
     } else {
       // The paper's baseline behaviour: recompute the entry.
-      RETURN_IF_ERROR(RebuildEntry(entry, bound, snapshot));
-      if (stats != nullptr) {
-        stats->entry_rebuilt = true;
-        stats->main_exec_ms = entry.metrics().main_exec_ms;
-        stats->main_comp_ms += watch.ElapsedMillis();
-      }
+      RETURN_IF_ERROR(RebuildEntry(entry, bound, snapshot, stats));
+      if (stats != nullptr) stats->entry_rebuilt = true;
     }
-    observe_latency();
-    return Status::Ok();
+    return finish();
   }
 
   // Single-table entry: bit-vector comparison finds rows invalidated since
@@ -609,14 +624,13 @@ Status AggregateCacheManager::MainCompensate(CacheEntry& entry,
   }
   entry.set_base_tid(snapshot.read_tid);
   RefreshEntrySize(entry);
-  if (stats != nullptr) stats->main_comp_ms += watch.ElapsedMillis();
-  observe_latency();
-  return Status::Ok();
+  return finish();
 }
 
 Status AggregateCacheManager::JoinMainCompensate(CacheEntry& entry,
                                                  const BoundQuery& bound,
-                                                 Snapshot snapshot) {
+                                                 Snapshot snapshot,
+                                                 CacheExecStats* stats) {
   const size_t num_tables = bound.tables.size();
 
   // Invalidated ("negative delta") rows per (table, group) since the entry
@@ -710,6 +724,9 @@ Status AggregateCacheManager::JoinMainCompensate(CacheEntry& entry,
   Status first_error;
   for (size_t j = 0; j < jobs.size(); ++j) {
     executor_.stats().MergeFrom(task_stats[j]);
+    if (stats != nullptr) {
+      stats->subjoins_executed += task_stats[j].subjoins_executed;
+    }
     if (first_error.ok() && !task_status[j].ok()) first_error = task_status[j];
   }
   RETURN_IF_ERROR(first_error);
@@ -753,70 +770,77 @@ StatusOr<AggregateResult> AggregateCacheManager::Execute(
     ctx = &*env_context;
   }
   ScopedQueryContext scope(ctx);
-  // Span root for the whole execution: every phase span below (admission
-  // wait, lookup, build, compensation, subjoin tasks) chains under it.
-  QueryRootSpan root_span(ExecutionStrategyToString(options.strategy));
-  QueryTrace* trace = TraceContext::Current();
+  // The caller's trace (or none) is this thread's trace for the call: the
+  // build/compensation paths record subjoin verdicts through it.
+  QueryTrace* trace = options.trace;
+  TraceContext trace_scope(trace);
+  CacheExecStats local_stats;
+  CacheExecStats* stats =
+      options.stats != nullptr ? options.stats : &local_stats;
+  *stats = CacheExecStats();
+  const char* strategy_name = ExecutionStrategyToString(options.strategy);
+  const CacheKey key = MakeCacheKey(query);
+  if (trace != nullptr) {
+    trace->strategy = strategy_name;
+    trace->use_pushdown = options.use_predicate_pushdown;
+    if (trace->statement.empty()) trace->statement = key.canonical;
+  }
   // Live introspection: registered before admission so a query parked in
   // the admission queue is already visible in /queries (phase
   // "admission_wait") and remotely cancellable while it waits.
-  const std::string statement = trace != nullptr && !trace->statement.empty()
-                                    ? trace->statement
-                                    : MakeCacheKey(query).canonical;
-  const char* strategy_name = ExecutionStrategyToString(options.strategy);
+  const std::string& statement =
+      trace != nullptr ? trace->statement : key.canonical;
   ActiveQueryGuard aq_guard(statement, strategy_name, ctx);
-  Stopwatch exec_watch;
+  // Span root for the execution from here on: every phase below (admission
+  // wait, lookup, build, compensation, subjoin tasks) chains under it, so
+  // its children tile it, and its two clock readings are the call's
+  // end-to-end time for EXPLAIN and the slow-query log.
+  QueryRootSpan root_span(strategy_name);
   // Whole-execution hardware-counter sample. Unconditional (unlike the
-  // phase regions): the ledger's hit EWMAs and the slow-query log consume
+  // phase samples): the ledger's hit EWMAs and the slow-query log consume
   // it even when no trace or span is listening, and after the first latch
   // on perf-denied hosts it costs one relaxed load.
   PerfDelta perf_begin = PerfCounters::Read();
-  // The admission slot is held for the whole execution (ticket releases on
-  // every return path); shed/timeout surfaces as a typed error before any
-  // table lock is taken.
-  Stopwatch admit_watch;
-  aq_guard.SetPhase(SpanKindToString(SpanKind::kAdmissionWait));
-  StatusOr<AdmissionController::Ticket> ticket_or = [&] {
-    ScopedSpan admit_span(SpanKind::kAdmissionWait);
-    return AdmissionController::Global().Admit(ctx);
-  }();
-  uint64_t admission_wait_us =
-      static_cast<uint64_t>(admit_watch.ElapsedNanos() / 1000);
+  // The admission slot is held for the whole execution (the ticket inside
+  // ticket_or releases on every return path); shed/timeout surfaces as a
+  // typed error before any table lock is taken.
+  Phase admit(SpanKind::kAdmissionWait);
+  StatusOr<AdmissionController::Ticket> ticket_or =
+      AdmissionController::Global().Admit(ctx);
+  admit.End();
+  uint64_t admission_wait_us = admit.elapsed_us();
   aq_guard.SetAdmissionWait(admission_wait_us);
   if (trace != nullptr) trace->admission_wait_us = admission_wait_us;
-  auto fill_governance = [&] {
+  auto finish = [&] {
+    root_span.End();
     if (trace == nullptr) return;
+    trace->total_ms = root_span.elapsed_ms();
     trace->mem_peak_bytes = ctx->memory_high_water();
     if (ctx->abort_reason() != QueryAbortReason::kNone) {
       trace->abort_cause = QueryAbortReasonToString(ctx->abort_reason());
     }
   };
   if (!ticket_or.ok()) {
-    fill_governance();
+    finish();
     return ticket_or.status();
   }
-  AdmissionController::Ticket ticket = std::move(ticket_or).value();
-  CacheExecStats stats;
   PruneStats prune_acc;
-  auto result =
-      ExecuteInternal(query, txn, options, perf_begin, &stats, &prune_acc);
+  auto result = ExecuteInternal(query, key, txn, options, perf_begin, stats,
+                                &prune_acc);
   PerfDelta perf_total = PerfCounters::Delta(perf_begin, PerfCounters::Read());
   if (trace != nullptr && perf_total.valid) {
     trace->perf_available = true;
     trace->perf_total = perf_total;
   }
-  fill_governance();
+  finish();
   SlowQueryLog& slow_log = SlowQueryLog::Global();
-  if (slow_log.enabled()) {
-    double elapsed_ms = exec_watch.ElapsedMillis();
-    if (elapsed_ms >= slow_log.threshold_ms()) {
-      slow_log.Record(BuildSlowQueryRecord(
-          statement, strategy_name, elapsed_ms, admission_wait_us, *ctx,
-          result.status(), trace, perf_total, root_span.link().query_id));
-    }
+  if (slow_log.enabled() &&
+      root_span.elapsed_ms() >= slow_log.threshold_ms()) {
+    slow_log.Record(BuildSlowQueryRecord(
+        statement, strategy_name, root_span.elapsed_ms(), admission_wait_us,
+        *ctx, result.status(), trace, perf_total, root_span.link().query_id));
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
-  last_stats_ = stats;
   prune_stats_.considered += prune_acc.considered;
   prune_stats_.pruned_empty += prune_acc.pruned_empty;
   prune_stats_.pruned_aging += prune_acc.pruned_aging;
@@ -824,42 +848,20 @@ StatusOr<AggregateResult> AggregateCacheManager::Execute(
   return result;
 }
 
-StatusOr<AggregateResult> AggregateCacheManager::ExecuteTraced(
-    const AggregateQuery& query, const Transaction& txn,
-    const ExecutionOptions& options, QueryTrace* trace) {
-  AGGCACHE_CHECK(trace != nullptr);
-  trace->strategy = ExecutionStrategyToString(options.strategy);
-  trace->use_pushdown = options.use_predicate_pushdown;
-  if (trace->statement.empty()) {
-    trace->statement = MakeCacheKey(query).canonical;
-  }
-  Stopwatch watch;
-  TraceContext scope(trace);
-  auto result = Execute(query, txn, options);
-  trace->total_ms = watch.ElapsedMillis();
-  return result;
-}
-
 StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
-    const AggregateQuery& query, const Transaction& txn,
+    const AggregateQuery& query, const CacheKey& key, const Transaction& txn,
     const ExecutionOptions& options, const PerfDelta& perf_begin,
     CacheExecStats* stats, PruneStats* prune_acc) {
   const EngineMetrics& metrics = EngineMetrics::Get();
-  QueryTrace* trace = TraceContext::Current();
-  // The subjoin count is exact single-threaded; under concurrent Execute
-  // calls the shared counter makes the delta approximate (observability
-  // only, never correctness).
-  uint64_t subjoins_before = executor_.stats().Snapshot().subjoins_executed;
-  Stopwatch total_watch;
+  QueryTrace* trace = options.trace;
 
-  // The lookup span covers bind + consistent-view acquisition + entry
-  // resolution + main repair; it ends (reset) before delta compensation so
-  // the root's children tile the execution instead of overlapping.
-  std::optional<ScopedSpan> lookup_span;
+  // The lookup phase covers bind + consistent-view acquisition + entry
+  // resolution + main repair; it ends before delta compensation (or the
+  // uncached answer) so the root's children tile the execution instead of
+  // overlapping.
+  std::optional<Phase> lookup;
   if (options.strategy != ExecutionStrategy::kUncached) {
-    lookup_span.emplace(SpanKind::kCacheLookup);
-    ActiveQueryGuard::CurrentSetPhase(
-        SpanKindToString(SpanKind::kCacheLookup));
+    lookup.emplace(SpanKind::kCacheLookup);
   }
 
   ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(*db_, query));
@@ -870,49 +872,37 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   Snapshot snapshot = view.snapshot();
   if (trace != nullptr) trace->snapshot_tid = snapshot.read_tid;
 
+  // The one uncached answer, labelled with why the cache was not used. A
+  // fallback after the cache was consulted counts that lookup as a miss.
+  auto answer_uncached =
+      [&](const char* outcome) -> StatusOr<AggregateResult> {
+    if (stats->used_cache) {
+      metrics.cache_lookups->Increment();
+      metrics.cache_misses->Increment();
+      metrics.cache_uncached_fallbacks->Increment();
+    }
+    stats->used_cache = false;
+    if (trace != nullptr) trace->cache_outcome = outcome;
+    lookup.reset();
+    Phase exec(SpanKind::kUncachedExec);
+    return executor_.ExecuteUncachedBound(bound, snapshot,
+                                          &stats->subjoins_executed);
+  };
+
   if (options.strategy == ExecutionStrategy::kUncached ||
       !query.IsCacheable()) {
-    if (trace != nullptr) {
-      trace->cache_outcome = options.strategy == ExecutionStrategy::kUncached
-                                 ? "uncached"
-                                 : "not-cacheable";
-    }
-    lookup_span.reset();
-    ScopedSpan exec_span(SpanKind::kUncachedExec);
-    PerfPhaseRegion exec_perf(SpanKindToString(SpanKind::kUncachedExec),
-                              &exec_span);
-    ActiveQueryGuard::CurrentSetPhase(
-        SpanKindToString(SpanKind::kUncachedExec));
-    ASSIGN_OR_RETURN(AggregateResult result,
-                     executor_.ExecuteUncachedBound(bound, snapshot));
-    stats->subjoins_executed =
-        executor_.stats().Snapshot().subjoins_executed - subjoins_before;
-    return result;
+    return answer_uncached(options.strategy == ExecutionStrategy::kUncached
+                               ? "uncached"
+                               : "not-cacheable");
   }
   stats->used_cache = true;
 
   ASSIGN_OR_RETURN(std::shared_ptr<CacheEntry> entry,
-                   GetOrCreateEntry(bound, snapshot, stats));
+                   GetOrCreateEntry(bound, key, snapshot, stats));
   if (entry == nullptr) {
-    // Not admitted (or starved by eviction): answer without the cache. The
-    // lookup still consulted the cache, so it counts — as a miss.
-    metrics.cache_lookups->Increment();
-    metrics.cache_misses->Increment();
+    // Not admitted (or starved by eviction): answer without the cache.
     metrics.cache_admission_rejects->Increment();
-    metrics.cache_uncached_fallbacks->Increment();
-    if (trace != nullptr) trace->cache_outcome = "admission-rejected";
-    stats->used_cache = false;
-    lookup_span.reset();
-    ScopedSpan exec_span(SpanKind::kUncachedExec);
-    PerfPhaseRegion exec_perf(SpanKindToString(SpanKind::kUncachedExec),
-                              &exec_span);
-    ActiveQueryGuard::CurrentSetPhase(
-        SpanKindToString(SpanKind::kUncachedExec));
-    ASSIGN_OR_RETURN(AggregateResult result,
-                     executor_.ExecuteUncachedBound(bound, snapshot));
-    stats->subjoins_executed =
-        executor_.stats().Snapshot().subjoins_executed - subjoins_before;
-    return result;
+    return answer_uncached("admission-rejected");
   }
 
   // Read or repair the cached main result under the entry's value lock.
@@ -931,32 +921,14 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   }
   if (!have_main) {
     std::unique_lock<std::shared_mutex> value_lock(entry->value_mutex());
-    if (entry->base_tid() > snapshot.read_tid) {
-      // The entry moved past this reader's snapshot (compensation only
-      // goes forward in time); answer uncached rather than stall the
-      // entry for everyone else.
-      value_lock.unlock();
-      metrics.cache_lookups->Increment();
-      metrics.cache_misses->Increment();
-      metrics.cache_uncached_fallbacks->Increment();
-      if (trace != nullptr) trace->cache_outcome = "snapshot-fallback";
-      stats->used_cache = false;
-      stats->cache_hit = false;
-      lookup_span.reset();
-      ScopedSpan exec_span(SpanKind::kUncachedExec);
-      ASSIGN_OR_RETURN(AggregateResult result,
-                       executor_.ExecuteUncachedBound(bound, snapshot));
-      stats->subjoins_executed =
-          executor_.stats().Snapshot().subjoins_executed - subjoins_before;
-      return result;
-    }
     if (!entry->ShapeMatches(bound.tables)) {
       // Partition layout changed (hot/cold split or a failed maintenance
       // pass): rebuild from scratch. kRebuilding shields the entry from
       // eviction while the recompute runs.
       bool claimed =
           entry->TryTransition(EntryState::kReady, EntryState::kRebuilding);
-      Status rebuild_status = RebuildEntry(*entry, bound, snapshot);
+      Status rebuild_status = RebuildEntry(
+          *entry, bound, EntryBuildSnapshot(*db_, bound, snapshot), stats);
       if (claimed) {
         entry->TryTransition(EntryState::kRebuilding, EntryState::kReady);
       }
@@ -965,8 +937,15 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
         return rebuild_status;
       }
       stats->entry_rebuilt = true;
-      stats->main_exec_ms = entry->metrics().main_exec_ms;
-    } else if (!stats->entry_created) {
+    }
+    if (entry->base_tid() > snapshot.read_tid) {
+      // The entry moved past this reader's snapshot (compensation only
+      // goes forward in time); answer uncached rather than stall the
+      // entry for everyone else.
+      value_lock.unlock();
+      return answer_uncached("snapshot-fallback");
+    }
+    if (!stats->entry_created && !stats->entry_rebuilt) {
       stats->cache_hit = true;
     }
     RETURN_IF_ERROR(MainCompensate(*entry, bound, snapshot, stats));
@@ -975,29 +954,24 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
     main_result = entry->MergedMainResult(bound.aggregates.size());
   }
   TouchEntry(*entry);
-  lookup_span.reset();
+  lookup->End();
 
   // Delta compensation needs no entry lock: it reads only table state,
-  // which the ReadView keeps frozen.
-  Stopwatch delta_watch;
+  // which the ReadView keeps frozen. The phase also covers the union with
+  // the cached main result and HAVING.
+  Phase delta(SpanKind::kDeltaCompensation);
   JoinPruner pruner(db_, PruneLevelFor(options.strategy));
   std::vector<MdBinding> mds = ResolveMds(bound);
   CompensationStats comp_stats;
-  StatusOr<AggregateResult> delta_or = [&] {
-    ScopedSpan delta_span(SpanKind::kDeltaCompensation);
-    PerfPhaseRegion delta_perf(
-        SpanKindToString(SpanKind::kDeltaCompensation), &delta_span);
-    ActiveQueryGuard::CurrentSetPhase(
-        SpanKindToString(SpanKind::kDeltaCompensation));
-    return DeltaCompensate(executor_, bound, mds, pruner,
-                           options.use_predicate_pushdown, snapshot,
-                           &comp_stats);
-  }();
-  RETURN_IF_ERROR(delta_or.status());
-  main_result.MergeFrom(delta_or.value());
+  ASSIGN_OR_RETURN(AggregateResult delta_result,
+                   DeltaCompensate(executor_, bound, mds, pruner,
+                                   options.use_predicate_pushdown, snapshot,
+                                   &comp_stats));
+  main_result.MergeFrom(delta_result);
   AggregateResult result = query.ApplyHaving(std::move(main_result));
+  delta.End();
 
-  double delta_ms = delta_watch.ElapsedMillis();
+  double delta_ms = delta.elapsed_ms();
   // Only true hits count toward profit: the miss that just created (or the
   // access that rebuilt) the entry saved nothing, and crediting it would
   // inflate Profit() for new entries and skew eviction.
@@ -1009,8 +983,9 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
     // Ledger: what this hit cost and what it saved. "Saved" is the entry's
     // recorded main execution cost (what recomputing the mains would have
     // taken) minus the compensation actually paid — negative when the
-    // deltas have outgrown the entry.
-    double hit_ms = total_watch.ElapsedMillis();
+    // deltas have outgrown the entry. The hit cost is the two phases that
+    // tile it, lookup and delta compensation.
+    double hit_ms = lookup->elapsed_ms() + delta_ms;
     double comp_paid_ms = delta_ms + stats->main_comp_ms;
     double saved_ms =
         em.main_exec_ms.load(std::memory_order_relaxed) - comp_paid_ms;
@@ -1046,15 +1021,14 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
 
   stats->delta_comp_ms = delta_ms;
   stats->subjoins_pruned = comp_stats.subjoins_pruned;
-  stats->subjoins_executed =
-      executor_.stats().Snapshot().subjoins_executed - subjoins_before;
+  stats->subjoins_executed += comp_stats.subjoins_executed;
   prune_acc->considered += pruner.stats().considered;
   prune_acc->pruned_empty += pruner.stats().pruned_empty;
   prune_acc->pruned_aging += pruner.stats().pruned_aging;
   prune_acc->pruned_tid_range += pruner.stats().pruned_tid_range;
 
-  // Exactly one of the four outcome sites counts each consulted lookup
-  // (here, the two fallbacks above, or the admission reject), so
+  // Exactly one of the two outcome sites counts each consulted lookup
+  // (here, or the uncached answer after a fallback or reject), so
   // hits + misses == lookups holds registry-wide. Error returns count
   // nothing: the lookup never produced an answer.
   metrics.cache_lookups->Increment();
@@ -1063,8 +1037,7 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   } else {
     metrics.cache_misses->Increment();
   }
-  metrics.cache_delta_comp_us->Observe(
-      static_cast<uint64_t>(delta_ms * 1000.0));
+  metrics.cache_delta_comp_us->Observe(delta.elapsed_us());
   if (trace != nullptr) {
     trace->cache_outcome = stats->entry_rebuilt ? "rebuilt"
                            : stats->cache_hit  ? "hit"
@@ -1084,18 +1057,14 @@ Status AggregateCacheManager::Prewarm(const AggregateQuery& query) {
   ReadView view = ReadView::Acquire(*db_, bound.tables);
   Snapshot snapshot = view.snapshot();
   ASSIGN_OR_RETURN(std::shared_ptr<CacheEntry> entry,
-                   GetOrCreateEntry(bound, snapshot, nullptr));
+                   GetOrCreateEntry(bound, MakeCacheKey(query), snapshot,
+                                    nullptr));
   if (entry == nullptr) {
     return Status::FailedPrecondition("aggregate not profitable enough");
   }
   std::unique_lock<std::shared_mutex> value_lock(entry->value_mutex());
   if (entry->base_tid() > snapshot.read_tid) return Status::Ok();
   return MainCompensate(*entry, bound, snapshot, nullptr);
-}
-
-CacheExecStats AggregateCacheManager::last_exec_stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return last_stats_;
 }
 
 std::vector<AggregateCacheManager::LedgerEntry>
@@ -1362,7 +1331,7 @@ void AggregateCacheManager::OnBeforeMerge(Table& table, size_t group_index,
       // mains only, so fold the delta in unconditionally afterwards.
       Status status =
           FaultInjector::Global().MaybeFail("maintenance.rebuild");
-      if (status.ok()) status = RebuildEntry(*entry, bound, snapshot);
+      if (status.ok()) status = RebuildEntry(*entry, bound, snapshot, nullptr);
       if (!status.ok()) {
         RecordMaintenanceFailure(*entry, status);
         continue;

@@ -34,25 +34,38 @@ enum class ExecutionStrategy : uint8_t {
 
 const char* ExecutionStrategyToString(ExecutionStrategy strategy);
 
-/// Per-call knobs for AggregateCacheManager::Execute.
-struct ExecutionOptions {
-  ExecutionStrategy strategy = ExecutionStrategy::kCachedFullPruning;
-  /// Apply MD-derived local predicates to non-pruned subjoins
-  /// (Section 5.3).
-  bool use_predicate_pushdown = false;
-};
-
-/// Observability for the most recent Execute call.
+/// Outcome and work of one Execute call (ExecutionOptions::stats).
 struct CacheExecStats {
   bool used_cache = false;
   bool cache_hit = false;
   bool entry_created = false;
   bool entry_rebuilt = false;
+  /// Subjoins this call ran: entry build, main correction joins, delta
+  /// compensation, or the uncached union.
   uint64_t subjoins_executed = 0;
   uint64_t subjoins_pruned = 0;
   double main_exec_ms = 0.0;         ///< Entry build time (on miss).
   double main_comp_ms = 0.0;         ///< Main compensation time.
   double delta_comp_ms = 0.0;        ///< Delta compensation time.
+};
+
+/// Per-call knobs and outputs for AggregateCacheManager::Execute. The two
+/// outputs are per call and thread-safe: the engine writes them only on the
+/// calling thread and only during that call, so concurrent calls, each
+/// with its own outputs, never see each other's numbers.
+struct ExecutionOptions {
+  ExecutionStrategy strategy = ExecutionStrategy::kCachedFullPruning;
+  /// Apply MD-derived local predicates to non-pruned subjoins
+  /// (Section 5.3).
+  bool use_predicate_pushdown = false;
+  /// When set, receives this call's outcome and work counters (reset at
+  /// the start of the call).
+  CacheExecStats* stats = nullptr;
+  /// When set, receives this call's structured trace: lookup outcome,
+  /// subjoin verdicts with tid ranges, phase timings and governance — what
+  /// EXPLAIN AGGREGATE renders. Its statement defaults to the canonical
+  /// cache key when left empty.
+  QueryTrace* trace = nullptr;
 };
 
 /// The aggregate cache manager (Fig. 1/3 of the paper): dynamically caches
@@ -109,17 +122,6 @@ class AggregateCacheManager : public MergeObserver,
                                     const ExecutionOptions& options =
                                         ExecutionOptions());
 
-  /// Execute with a structured trace: installs `trace` as the calling
-  /// thread's TraceContext so the lookup/build/compensation paths record
-  /// their outcomes, subjoin verdicts (with tid ranges), and phase timings
-  /// into it. Backs the SQL layer's EXPLAIN AGGREGATE. `trace` must
-  /// outlive the call; its statement field is defaulted to the canonical
-  /// cache key when the caller left it empty.
-  StatusOr<AggregateResult> ExecuteTraced(const AggregateQuery& query,
-                                          const Transaction& txn,
-                                          const ExecutionOptions& options,
-                                          QueryTrace* trace);
-
   /// Builds (or refreshes) the cache entry for `query` without computing a
   /// full result, e.g. to warm the cache before a benchmark.
   Status Prewarm(const AggregateQuery& query);
@@ -137,9 +139,6 @@ class AggregateCacheManager : public MergeObserver,
   /// and tests of the running total.
   size_t RecomputeTotalBytes() const;
   void Clear();
-
-  /// Stats of the most recent completed Execute call (any thread's).
-  CacheExecStats last_exec_stats() const;
 
   /// One resident entry's row in the cost/benefit ledger: the observed
   /// economics (EWMA hit latency, compensation and rebuild cost, delta
@@ -216,29 +215,33 @@ class AggregateCacheManager : public MergeObserver,
 
   Shard& ShardFor(const CacheKey& key) const;
 
-  /// Body of Execute; accumulates into the caller-local stats blocks which
-  /// Execute publishes at the end. `perf_begin` is the hardware-counter
-  /// reading Execute took at entry ({valid=false} when counters are
-  /// unavailable) — the cache-hit path differences it to feed the ledger's
-  /// hardware EWMAs.
+  /// Body of Execute, after admission; accumulates into `stats` and the
+  /// caller-local `prune_acc`, which Execute publishes at the end. `key` is
+  /// the query's cache key, rendered once per call. `perf_begin` is the
+  /// hardware-counter reading Execute took at entry ({valid=false} when
+  /// counters are unavailable) — the cache-hit path differences it to feed
+  /// the ledger's hardware EWMAs.
   StatusOr<AggregateResult> ExecuteInternal(const AggregateQuery& query,
+                                            const CacheKey& key,
                                             const Transaction& txn,
                                             const ExecutionOptions& options,
                                             const PerfDelta& perf_begin,
                                             CacheExecStats* stats,
                                             PruneStats* prune_acc);
 
-  /// Returns the entry for the bound query, building it on a miss with
-  /// single-flight semantics. Returns nullptr when the admission policy
-  /// rejects the aggregate or repeated evictions starve this caller (the
-  /// caller then answers uncached).
+  /// Returns the entry for the bound query (whose cache key is `key`),
+  /// building it on a miss with single-flight semantics. Returns nullptr
+  /// when the admission policy rejects the aggregate or repeated evictions
+  /// starve this caller (the caller then answers uncached).
   StatusOr<std::shared_ptr<CacheEntry>> GetOrCreateEntry(
-      const BoundQuery& bound, Snapshot snapshot, CacheExecStats* stats);
+      const BoundQuery& bound, const CacheKey& key, Snapshot snapshot,
+      CacheExecStats* stats);
 
-  /// Recomputes all main partials and snapshots under `snapshot`. Caller
-  /// holds the entry's value lock exclusively.
+  /// Recomputes all main partials and snapshots under `snapshot`, adding
+  /// its subjoins and build time to `stats` when given. Caller holds the
+  /// entry's value lock exclusively.
   Status RebuildEntry(CacheEntry& entry, const BoundQuery& bound,
-                      Snapshot snapshot);
+                      Snapshot snapshot, CacheExecStats* stats);
 
   /// Applies pending main-partition invalidations to the entry: bit-vector
   /// diff + subtract for single-table entries (Section 2.2); for join
@@ -259,7 +262,7 @@ class AggregateCacheManager : public MergeObserver,
   /// ("negative delta") rows. The N_i sets are tiny, so each correction is
   /// cheap — realizing the paper's Section 8 proposal.
   Status JoinMainCompensate(CacheEntry& entry, const BoundQuery& bound,
-                            Snapshot snapshot);
+                            Snapshot snapshot, CacheExecStats* stats);
 
   void RefreshSnapshots(CacheEntry& entry, const BoundQuery& bound,
                         Snapshot snapshot);
@@ -302,9 +305,8 @@ class AggregateCacheManager : public MergeObserver,
   /// Sum of metrics().size_bytes over accounted entries, maintained
   /// incrementally so eviction decisions are O(1) instead of O(entries).
   size_t total_bytes_ = 0;
-  /// Guards last_stats_ and prune_stats_.
+  /// Guards prune_stats_.
   mutable std::mutex stats_mu_;
-  CacheExecStats last_stats_;
   PruneStats prune_stats_;
   std::atomic<int64_t> access_clock_{0};
   /// True while the process tracker reports memory pressure (degraded

@@ -185,10 +185,6 @@ ActiveQueryGuard::~ActiveQueryGuard() {
   if (slot_ != nullptr) ActiveQueryRegistry::Global().Unregister(slot_);
 }
 
-void ActiveQueryGuard::SetPhase(const char* phase) {
-  if (slot_ != nullptr) slot_->phase.store(phase, std::memory_order_relaxed);
-}
-
 void ActiveQueryGuard::SetAdmissionWait(uint64_t wait_us) {
   if (slot_ != nullptr) {
     slot_->admission_wait_us.store(wait_us, std::memory_order_relaxed);
@@ -198,7 +194,9 @@ void ActiveQueryGuard::SetAdmissionWait(uint64_t wait_us) {
 ActiveQueryGuard* ActiveQueryGuard::Current() { return tls_guard; }
 
 void ActiveQueryGuard::CurrentSetPhase(const char* phase) {
-  if (tls_guard != nullptr) tls_guard->SetPhase(phase);
+  if (tls_guard != nullptr && tls_guard->slot_ != nullptr) {
+    tls_guard->slot_->phase.store(phase, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace aggcache

@@ -104,22 +104,21 @@ class ActiveQueryRegistry {
 };
 
 /// RAII registration of one query execution, owned by the cache manager's
-/// Execute() frame. Installs itself as the thread-current guard so the
-/// phase sites deeper in the engine (build, compensation, uncached exec)
-/// can report transitions without threading a handle through every
+/// Execute() frame. Installs itself as the thread-current guard so each
+/// Phase deeper in the engine (build, compensation, uncached exec) can
+/// report its transition without threading a handle through every
 /// signature — the same thread-locality discipline as TraceContext.
 class ActiveQueryGuard {
  public:
-  /// `strategy` and all `phase` arguments must have static storage
-  /// duration. `context` must outlive the guard (it does: both live in the
-  /// same Execute frame, context declared first).
+  /// `strategy` must have static storage duration. `context` must outlive
+  /// the guard (it does: both live in the same Execute frame, context
+  /// declared first).
   ActiveQueryGuard(const std::string& statement, const char* strategy,
                    QueryContext* context);
   ~ActiveQueryGuard();
   ActiveQueryGuard(const ActiveQueryGuard&) = delete;
   ActiveQueryGuard& operator=(const ActiveQueryGuard&) = delete;
 
-  void SetPhase(const char* phase);
   void SetAdmissionWait(uint64_t wait_us);
 
   /// Registry id of this query; 0 when the slot table was full.
@@ -128,11 +127,13 @@ class ActiveQueryGuard {
   /// The guard installed on this thread (nullptr outside Execute).
   static ActiveQueryGuard* Current();
 
-  /// Convenience: SetPhase on the thread-current guard, if any. One TLS
-  /// read + one relaxed store — cheap enough for every phase boundary.
+ private:
+  friend class Phase;
+
+  /// Sets the thread-current guard's phase name, if any (`phase` has static
+  /// storage duration). One TLS read + one relaxed store.
   static void CurrentSetPhase(const char* phase);
 
- private:
   ActiveQueryRegistry::Slot* slot_ = nullptr;
   uint64_t id_ = 0;
   ActiveQueryGuard* previous_ = nullptr;

@@ -1,12 +1,7 @@
 #include "obs/metrics_registry.h"
 
 #include <bit>
-#include <chrono>
-#include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -291,108 +286,6 @@ std::string MetricsRegistry::Render(Format format) const {
   }
   out << "}";
   return out.str();
-}
-
-// --- Env-triggered periodic dumper ----------------------------------------
-
-namespace {
-
-struct DumperState {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::thread thread;
-  bool running = false;
-  bool stop_requested = false;
-  bool starts_blocked = false;
-  std::chrono::milliseconds period{1000};
-  MetricsRegistry::Format format = MetricsRegistry::Format::kPrometheus;
-  bool to_stdout = false;
-};
-
-DumperState& Dumper() {
-  static DumperState* state = new DumperState();
-  return *state;
-}
-
-void EmitDump(const DumperState& state) {
-  std::string dump = MetricsRegistry::Global().Render(state.format);
-  std::FILE* stream = state.to_stdout ? stdout : stderr;
-  std::fprintf(stream, "--- aggcache metrics dump ---\n%s", dump.c_str());
-  if (!dump.empty() && dump.back() != '\n') std::fprintf(stream, "\n");
-  std::fflush(stream);
-}
-
-/// Parses AGGCACHE_METRICS_DUMP; returns false when unset or disabled.
-/// Accepts a bare period ("250") or key=value pairs in the style of
-/// AGGCACHE_MERGE_DAEMON.
-bool ParseDumpEnv(DumperState* state) {
-  const char* env = std::getenv("AGGCACHE_METRICS_DUMP");
-  if (env == nullptr) return false;
-  std::string spec(env);
-  if (spec.empty() || spec == "off" || spec == "0") return false;
-
-  char* end = nullptr;
-  long bare = std::strtol(spec.c_str(), &end, 10);
-  if (end != spec.c_str() && *end == '\0' && bare > 0) {
-    state->period = std::chrono::milliseconds(bare);
-    return true;
-  }
-
-  for (const auto& [key, value] : SplitKeyValueSpec(spec)) {
-    if (key == "period_ms") {
-      long parsed = std::strtol(value.c_str(), nullptr, 10);
-      if (parsed > 0) state->period = std::chrono::milliseconds(parsed);
-    } else if (key == "format") {
-      state->format = value == "json" ? MetricsRegistry::Format::kJson
-                                      : MetricsRegistry::Format::kPrometheus;
-    } else if (key == "stream") {
-      state->to_stdout = value == "stdout";
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-void MetricsDumper::BlockStarts(bool blocked) {
-  DumperState& state = Dumper();
-  std::lock_guard<std::mutex> lock(state.mu);
-  state.starts_blocked = blocked;
-}
-
-bool MetricsDumper::MaybeStartFromEnv() {
-  DumperState& state = Dumper();
-  std::unique_lock<std::mutex> lock(state.mu);
-  AGGCACHE_CHECK(!state.starts_blocked)
-      << "metrics dumper started during recovery";
-  if (state.running) return true;
-  if (!ParseDumpEnv(&state)) return false;
-  state.stop_requested = false;
-  state.running = true;
-  state.thread = std::thread([&state] {
-    std::unique_lock<std::mutex> thread_lock(state.mu);
-    while (!state.cv.wait_for(thread_lock, state.period,
-                              [&state] { return state.stop_requested; })) {
-      thread_lock.unlock();
-      EmitDump(state);
-      thread_lock.lock();
-    }
-  });
-  return true;
-}
-
-void MetricsDumper::Stop() {
-  DumperState& state = Dumper();
-  {
-    std::lock_guard<std::mutex> lock(state.mu);
-    if (!state.running) return;
-    state.stop_requested = true;
-  }
-  state.cv.notify_all();
-  state.thread.join();
-  std::lock_guard<std::mutex> lock(state.mu);
-  state.running = false;
-  EmitDump(state);
 }
 
 }  // namespace aggcache

@@ -178,33 +178,6 @@ class MetricsRegistry {
   std::map<std::string, Metric> metrics_;
 };
 
-/// Background thread that periodically dumps the global registry, enabled
-/// by the AGGCACHE_METRICS_DUMP environment variable:
-///
-///   AGGCACHE_METRICS_DUMP=250                            every 250 ms
-///   AGGCACHE_METRICS_DUMP="period_ms=1000,format=json,stream=stdout"
-///   AGGCACHE_METRICS_DUMP=off                            disabled
-///
-/// format is "prom" (default) or "json"; stream is "stderr" (default) or
-/// "stdout". Long-running binaries (benches, the stress harness, the SQL
-/// shell) call MaybeStartFromEnv() once at startup; the library never
-/// starts threads on its own.
-class MetricsDumper {
- public:
-  /// Starts the dump thread when the environment enables it. Idempotent;
-  /// returns true when a dumper is (now) running.
-  static bool MaybeStartFromEnv();
-
-  /// Stops and joins the dump thread, emitting one final dump. No-op when
-  /// not running.
-  static void Stop();
-
-  /// While blocked (recovery replaying a WAL), MaybeStartFromEnv is a
-  /// programming error and aborts — background dumpers must only observe a
-  /// fully recovered engine (restart-order invariant).
-  static void BlockStarts(bool blocked);
-};
-
 }  // namespace aggcache
 
 #endif  // AGGCACHE_OBS_METRICS_REGISTRY_H_

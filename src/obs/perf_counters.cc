@@ -14,8 +14,6 @@
 #endif
 
 #include "obs/engine_metrics.h"
-#include "obs/query_trace.h"
-#include "obs/span.h"
 
 namespace aggcache {
 
@@ -228,33 +226,6 @@ void PerfCounters::ResetForTest() {
 
 bool PerfCounters::unavailable() {
   return g_state.load(std::memory_order_relaxed) == 2;
-}
-
-PerfPhaseRegion::PerfPhaseRegion(const char* phase, ScopedSpan* span)
-    : phase_(phase) {
-  // Sample only when someone will consume the delta: the thread-local
-  // EXPLAIN trace, or a live (sampled + enabled) span. With neither, the
-  // region costs two branches — the span-overhead gate's budget assumes
-  // exactly this.
-  bool trace_listening = TraceContext::Current() != nullptr;
-  bool span_listening = span != nullptr && span->active();
-  if (!trace_listening && !span_listening) return;
-  begin_ = PerfCounters::Read();
-  if (!begin_.valid) return;
-  armed_ = true;
-  span_ = span_listening ? span : nullptr;
-}
-
-PerfPhaseRegion::~PerfPhaseRegion() {
-  if (!armed_) return;
-  PerfDelta delta = PerfCounters::Delta(begin_, PerfCounters::Read());
-  if (!delta.valid) return;
-  if (QueryTrace* trace = TraceContext::Current()) {
-    trace->perf_phases.push_back(QueryTrace::PhasePerf{phase_, delta});
-  }
-  if (span_ != nullptr) {
-    span_->SetPerf(delta.cycles, delta.instructions, delta.llc_misses);
-  }
 }
 
 }  // namespace aggcache

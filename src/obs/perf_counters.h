@@ -80,32 +80,6 @@ class PerfCounters {
   static bool unavailable();
 };
 
-/// RAII phase-level perf region: samples the thread's counters at
-/// construction and hands the delta to its consumers at destruction —
-/// the thread-local QueryTrace (EXPLAIN AGGREGATE's per-phase perf lines)
-/// and, when given a live span, the span's args{ipc,llc_miss}. The
-/// constructor is a no-op (no counter read) unless at least one consumer
-/// is listening, which keeps the span-overhead budget intact when tracing
-/// is off.
-class ScopedSpan;
-
-class PerfPhaseRegion {
- public:
-  /// `phase` must be a string with static storage duration (the span-kind
-  /// names are used). `span` may be null; when non-null and active, the
-  /// delta is attached to the span before it publishes.
-  explicit PerfPhaseRegion(const char* phase, ScopedSpan* span = nullptr);
-  ~PerfPhaseRegion();
-  PerfPhaseRegion(const PerfPhaseRegion&) = delete;
-  PerfPhaseRegion& operator=(const PerfPhaseRegion&) = delete;
-
- private:
-  const char* phase_;
-  ScopedSpan* span_ = nullptr;
-  bool armed_ = false;
-  PerfDelta begin_;
-};
-
 }  // namespace aggcache
 
 #endif  // AGGCACHE_OBS_PERF_COUNTERS_H_

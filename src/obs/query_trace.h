@@ -79,8 +79,9 @@ struct QueryTrace {
   // counter field — absent, never zero.
   bool perf_available = false;
   PerfDelta perf_total;  ///< Whole-execution delta.
-  /// One delta per measured phase, in execution order; `phase` names have
-  /// static storage duration (span-kind strings).
+  /// One delta per measured phase, in the order the phases end (a nested
+  /// phase, e.g. entry_build inside cache_lookup, comes first); `phase`
+  /// names have static storage duration (span-kind strings).
   struct PhasePerf {
     const char* phase;
     PerfDelta delta;

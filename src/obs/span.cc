@@ -7,16 +7,17 @@
 #include <cstring>
 
 #include "common/string_util.h"
+#include "obs/active_queries.h"
+#include "obs/query_trace.h"
 
 namespace aggcache {
 
 namespace {
 
-uint64_t SteadyMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+int64_t SteadyNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 /// The innermost active span on this thread. Plain (non-atomic) TLS: only
@@ -94,9 +95,14 @@ const char* SpanKindToString(SpanKind kind) {
 SpanRecorder::SpanRecorder(Options options)
     : ring_(options.spans_per_segment, options.max_segments, options.enabled),
       sample_every_(std::max<uint64_t>(options.sample_every, 1)),
-      t0_us_(SteadyMicros()) {}
+      t0_us_(static_cast<uint64_t>(SteadyNanos() / 1000)) {}
 
-uint64_t SpanRecorder::NowMicros() const { return SteadyMicros() - t0_us_; }
+uint64_t SpanRecorder::NowMicros() const { return MicrosAt(SteadyNanos()); }
+
+uint64_t SpanRecorder::MicrosAt(int64_t steady_ns) const {
+  uint64_t us = static_cast<uint64_t>(steady_ns / 1000);
+  return us > t0_us_ ? us - t0_us_ : 0;
+}
 
 bool SpanRecorder::SampleTick() {
   if (sample_every_ == 1) return true;
@@ -242,29 +248,75 @@ ScopedSpan::~ScopedSpan() {
   if (installed_) t_current_span = saved_;
   SpanRecorder& recorder = SpanRecorder::Global();
   recorder.Record(kind_, span_id_, parent_id_, query_id_, start_us_,
-                  recorder.NowMicros(), detail_, cycles_, instructions_,
-                  llc_misses_);
+                  recorder.NowMicros(), detail_);
+}
+
+Phase::Phase(SpanKind kind) : kind_(kind) {
+  ActiveQueryGuard::CurrentSetPhase(SpanKindToString(kind));
+  SpanRecorder& recorder = SpanRecorder::Global();
+  SpanLink parent = t_current_span;
+  bool span_on = parent.sampled() && recorder.enabled();
+  // Sample counters only when someone will consume the delta: the
+  // thread-local EXPLAIN trace or the live span. With neither, the phase
+  // costs its two clock readings and a few branches.
+  if (span_on || TraceContext::Current() != nullptr) {
+    perf_begin_ = PerfCounters::Read();
+    perf_armed_ = perf_begin_.valid;
+  }
+  if (span_on) {
+    parent_ = parent;
+    span_id_ = recorder.NextSpanId();
+    t_current_span = SpanLink{parent.query_id, span_id_};
+  }
+  begin_ns_ = SteadyNanos();
+}
+
+void Phase::End() {
+  if (!open_) return;
+  open_ = false;
+  int64_t end_ns = SteadyNanos();
+  elapsed_ns_ = end_ns - begin_ns_;
+  PerfDelta perf;
+  if (perf_armed_) {
+    perf = PerfCounters::Delta(perf_begin_, PerfCounters::Read());
+  }
+  QueryTrace* trace = TraceContext::Current();
+  if (perf.valid && trace != nullptr) {
+    trace->perf_phases.push_back(
+        QueryTrace::PhasePerf{SpanKindToString(kind_), perf});
+  }
+  if (span_id_ == 0) return;
+  t_current_span = parent_;
+  SpanRecorder& recorder = SpanRecorder::Global();
+  recorder.Record(kind_, span_id_, parent_.span_id, parent_.query_id,
+                  recorder.MicrosAt(begin_ns_), recorder.MicrosAt(end_ns),
+                  nullptr, perf.cycles, perf.instructions, perf.llc_misses);
 }
 
 QueryRootSpan::QueryRootSpan(const char* detail) {
   SpanRecorder& recorder = SpanRecorder::Global();
-  if (!recorder.enabled()) return;
-  if (!recorder.SampleTick()) return;
-  active_ = true;
-  query_id_ = recorder.NextQueryId();
-  span_id_ = recorder.NextSpanId();
-  start_us_ = recorder.NowMicros();
-  CopyDetail(detail_, detail);
-  saved_ = t_current_span;
-  t_current_span = SpanLink{query_id_, span_id_};
+  if (recorder.enabled() && recorder.SampleTick()) {
+    active_ = true;
+    query_id_ = recorder.NextQueryId();
+    span_id_ = recorder.NextSpanId();
+    CopyDetail(detail_, detail);
+    saved_ = t_current_span;
+    t_current_span = SpanLink{query_id_, span_id_};
+  }
+  begin_ns_ = SteadyNanos();
 }
 
-QueryRootSpan::~QueryRootSpan() {
+void QueryRootSpan::End() {
+  if (!open_) return;
+  open_ = false;
+  int64_t end_ns = SteadyNanos();
+  elapsed_ns_ = end_ns - begin_ns_;
   if (!active_) return;
   t_current_span = saved_;
   SpanRecorder& recorder = SpanRecorder::Global();
-  recorder.Record(SpanKind::kQuery, span_id_, 0, query_id_, start_us_,
-                  recorder.NowMicros(), detail_);
+  recorder.Record(SpanKind::kQuery, span_id_, 0, query_id_,
+                  recorder.MicrosAt(begin_ns_), recorder.MicrosAt(end_ns),
+                  detail_);
 }
 
 BackgroundSpan::BackgroundSpan(SpanKind kind, const char* detail) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/event_ring.h"
+#include "obs/perf_counters.h"
 
 namespace aggcache {
 
@@ -91,8 +92,8 @@ class SpanRecorder {
   /// Records one finished span. Timestamps are microseconds on the
   /// recorder's own clock (see NowMicros()); `detail` is truncated to
   /// 15 bytes. The trailing hardware-counter deltas are optional (0 = not
-  /// measured) — PerfPhaseRegion attaches them to phase spans when the
-  /// host can read perf counters.
+  /// measured) — Phase attaches them to its span when the host can read
+  /// perf counters.
   void Record(SpanKind kind, uint64_t span_id, uint64_t parent_id,
               uint64_t query_id, uint64_t start_us, uint64_t end_us,
               const char* detail = nullptr, uint64_t cycles = 0,
@@ -106,6 +107,9 @@ class SpanRecorder {
   /// clock (spans measure durations, so unlike flight events they cannot
   /// use the coarse jiffy clock).
   uint64_t NowMicros() const;
+  /// The same clock at an already-taken steady_clock reading (nanoseconds
+  /// since the steady epoch), so a span can reuse its owner's reading.
+  uint64_t MicrosAt(int64_t steady_ns) const;
 
   /// Process-unique ids. Query ids double as Chrome-trace "pid" lanes, so
   /// background roots draw from the same counter as query roots.
@@ -201,15 +205,6 @@ class ScopedSpan {
   bool active() const { return active_; }
   SpanLink link() const { return SpanLink{query_id_, span_id_}; }
 
-  /// Attaches hardware-counter deltas, published with the span at
-  /// destruction as args{ipc, llc_miss}. Called by PerfPhaseRegion just
-  /// before the span closes; a no-op on inactive spans.
-  void SetPerf(uint64_t cycles, uint64_t instructions, uint64_t llc_misses) {
-    cycles_ = cycles;
-    instructions_ = instructions;
-    llc_misses_ = llc_misses;
-  }
-
  private:
   void Begin(SpanKind kind, uint64_t query_id, uint64_t parent_id,
              const char* detail);
@@ -219,32 +214,83 @@ class ScopedSpan {
   uint64_t span_id_ = 0;
   uint64_t parent_id_ = 0;
   uint64_t start_us_ = 0;
-  uint64_t cycles_ = 0;
-  uint64_t instructions_ = 0;
-  uint64_t llc_misses_ = 0;
   SpanLink saved_;
   bool installed_ = false;
   char detail_[16] = {};
 };
 
+/// One phase of a query execution (admission wait, cache lookup, entry
+/// build, main correction, delta compensation, uncached exec), measured
+/// once: one steady-clock reading when it begins and one when it ends.
+/// Every consumer reads that single measurement:
+///   - the child span of the thread-current span, published from the two
+///     readings (when the recorder is on and the query is sampled);
+///   - the phase's hardware-counter delta, sampled only when an EXPLAIN
+///     trace or the live span will consume it, into
+///     QueryTrace::perf_phases and the span's args{ipc, llc_miss};
+///   - the calling query's /queries phase name, set when the phase begins;
+///   - elapsed_ms() / elapsed_us(), which CacheExecStats, QueryTrace, the
+///     entry ledger's EWMAs and the cache_*_us histograms record.
+/// End() closes the phase while still in scope so the caller can read the
+/// duration; the destructor closes a phase left open (error returns).
+class Phase {
+ public:
+  explicit Phase(SpanKind kind);
+  ~Phase() { End(); }
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
+
+  /// Takes the end reading and publishes the span and perf delta. Only the
+  /// first call acts.
+  void End();
+
+  /// Duration between the two readings; 0 while the phase is open.
+  double elapsed_ms() const { return static_cast<double>(elapsed_ns_) / 1e6; }
+  uint64_t elapsed_us() const {
+    return static_cast<uint64_t>(elapsed_ns_) / 1000;
+  }
+
+ private:
+  SpanKind kind_;
+  bool open_ = true;
+  int64_t begin_ns_ = 0;
+  int64_t elapsed_ns_ = 0;
+  /// The span's parent and own id; span_id_ == 0 when no span records.
+  SpanLink parent_;
+  uint64_t span_id_ = 0;
+  bool perf_armed_ = false;
+  PerfDelta perf_begin_;
+};
+
 /// RAII root span for one query: applies the sampling knob, allocates the
 /// query id (the Chrome-trace "pid" lane) and installs itself as the
-/// thread-current span so every ScopedSpan beneath it chains in.
+/// thread-current span so every Phase and ScopedSpan beneath it chains in.
+/// Like Phase it takes one steady-clock reading at each end — always, as
+/// the query's end-to-end time (EXPLAIN's total, the slow-query log) is
+/// read from them whether or not the span records.
 class QueryRootSpan {
  public:
   explicit QueryRootSpan(const char* detail = nullptr);
-  ~QueryRootSpan();
+  ~QueryRootSpan() { End(); }
   QueryRootSpan(const QueryRootSpan&) = delete;
   QueryRootSpan& operator=(const QueryRootSpan&) = delete;
 
+  /// Takes the end reading and publishes the root span. Only the first
+  /// call acts.
+  void End();
+
   bool active() const { return active_; }
   SpanLink link() const { return SpanLink{query_id_, span_id_}; }
+  /// Duration between the two readings; 0 while the root is open.
+  double elapsed_ms() const { return static_cast<double>(elapsed_ns_) / 1e6; }
 
  private:
   bool active_ = false;
+  bool open_ = true;
+  int64_t begin_ns_ = 0;
+  int64_t elapsed_ns_ = 0;
   uint64_t query_id_ = 0;
   uint64_t span_id_ = 0;
-  uint64_t start_us_ = 0;
   SpanLink saved_;
   char detail_[16] = {};
 };

@@ -479,7 +479,8 @@ StatusOr<AggregateResult> Executor::ExecuteUncached(
 }
 
 StatusOr<AggregateResult> Executor::ExecuteUncachedBound(
-    const BoundQuery& bound, Snapshot snapshot) const {
+    const BoundQuery& bound, Snapshot snapshot,
+    uint64_t* subjoins_executed) const {
   std::vector<SubjoinCombination> combos =
       EnumerateAllCombinations(bound.tables);
   // Uncached unions execute every combination; the trace events (with tid
@@ -513,6 +514,9 @@ StatusOr<AggregateResult> Executor::ExecuteUncachedBound(
   Status first_error;
   for (size_t i = 0; i < combos.size(); ++i) {
     stats_.MergeFrom(task_stats[i]);
+    if (subjoins_executed != nullptr) {
+      *subjoins_executed += task_stats[i].subjoins_executed;
+    }
     if (first_error.ok() && !task_status[i].ok()) first_error = task_status[i];
   }
   RETURN_IF_ERROR(first_error);

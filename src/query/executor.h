@@ -212,9 +212,11 @@ class Executor {
                                             Snapshot snapshot) const;
 
   /// Same, for an already-bound query — used by callers that bind first to
-  /// learn the table set (and take table locks) before executing.
-  StatusOr<AggregateResult> ExecuteUncachedBound(const BoundQuery& bound,
-                                                 Snapshot snapshot) const;
+  /// learn the table set (and take table locks) before executing. Adds the
+  /// number of subjoins it ran to `subjoins_executed` when given.
+  StatusOr<AggregateResult> ExecuteUncachedBound(
+      const BoundQuery& bound, Snapshot snapshot,
+      uint64_t* subjoins_executed = nullptr) const;
 
   SharedExecutorStats& stats() const { return stats_; }
 

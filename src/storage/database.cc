@@ -3,14 +3,11 @@
 #include <algorithm>
 
 #include "common/string_util.h"
-#include "obs/metrics_registry.h"
 #include "storage/recovery.h"
 #include "storage/table_lock.h"
 #include "verify/fault_injector.h"
 
 namespace aggcache {
-
-Database::~Database() { MetricsDumper::Stop(); }
 
 StatusOr<Table*> Database::CreateTable(const TableSchema& schema) {
   RETURN_IF_ERROR(schema.Validate());

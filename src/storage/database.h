@@ -35,11 +35,6 @@ class DurabilityManager;
 class Database {
  public:
   Database() = default;
-  /// Stops the periodic metrics dumper (emitting one final dump) before the
-  /// engine's state goes away — a dumper left running would render metrics
-  /// that describe a destroyed database, and on process exit could outlive
-  /// the registry itself.
-  ~Database();
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
@@ -138,8 +133,8 @@ class Database {
   }
 
   /// True while startup recovery is replaying into this database.
-  /// Background services (merge daemon, metrics dumper) assert on this:
-  /// they must only start on a fully recovered catalog.
+  /// Background services (the merge daemon) assert on this: they must only
+  /// start on a fully recovered catalog.
   bool restoring() const { return restoring_.load(std::memory_order_acquire); }
   void set_restoring(bool restoring) {
     restoring_.store(restoring, std::memory_order_release);

@@ -16,7 +16,6 @@
 #include "common/string_util.h"
 #include "obs/engine_metrics.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics_registry.h"
 #include "obs/span.h"
 #include "storage/database.h"
 #include "storage/segment.h"
@@ -109,12 +108,10 @@ StatusOr<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
   }
   manager->lock_fd_ = lock_fd;
 
-  // Background starters (merge daemon, metrics dumper) must not run while
-  // the catalog is mid-restore; they assert against these flags.
+  // Background starters (the merge daemon) must not run while the catalog
+  // is mid-restore; they assert against this flag.
   db->set_restoring(true);
-  MetricsDumper::BlockStarts(true);
   Status recovered = manager->Recover();
-  MetricsDumper::BlockStarts(false);
   db->set_restoring(false);
   RETURN_IF_ERROR(recovered);
 

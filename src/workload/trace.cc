@@ -97,10 +97,11 @@ Status TraceReplayer::ExecuteSql(const std::string& sql,
       // the trace itself has no consumer here and is dropped.
       QueryTrace trace;
       trace.statement = sql;
+      ExecutionOptions options = options_;
+      options.trace = &trace;
       Transaction txn = db_->Begin();
-      ASSIGN_OR_RETURN(
-          AggregateResult result,
-          cache_->ExecuteTraced(statement.select, txn, options_, &trace));
+      ASSIGN_OR_RETURN(AggregateResult result,
+                       cache_->Execute(statement.select, txn, options));
       report->last_query_groups = result.num_groups();
       report->query_ms += watch.ElapsedMillis();
       ++report->queries;

@@ -21,26 +21,36 @@ class CacheManagerTest : public ::testing::Test {
     ASSERT_OK(db_.MergeTables({"Header", "Item"}));
   }
 
+  /// Executes with `stats_` receiving the call's stats.
+  StatusOr<AggregateResult> Execute(AggregateCacheManager& cache,
+                                    const AggregateQuery& query,
+                                    const Transaction& txn,
+                                    ExecutionOptions options = {}) {
+    options.stats = &stats_;
+    return cache.Execute(query, txn, options);
+  }
+
   Database db_;
   Table* header_ = nullptr;
   Table* item_ = nullptr;
   std::unique_ptr<AggregateCacheManager> cache_;
   int64_t next_item_id_ = 1;
   AggregateQuery query_ = testing_util::HeaderItemQuery();
+  CacheExecStats stats_;
 };
 
 TEST_F(CacheManagerTest, MissCreatesEntryHitReuses) {
   Transaction txn = db_.Begin();
-  auto first = cache_->Execute(query_, txn);
+  auto first = Execute(*cache_, query_, txn);
   ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_TRUE(cache_->last_exec_stats().entry_created);
-  EXPECT_FALSE(cache_->last_exec_stats().cache_hit);
+  EXPECT_TRUE(stats_.entry_created);
+  EXPECT_FALSE(stats_.cache_hit);
   EXPECT_EQ(cache_->num_entries(), 1u);
 
-  auto second = cache_->Execute(query_, txn);
+  auto second = Execute(*cache_, query_, txn);
   ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(cache_->last_exec_stats().cache_hit);
-  EXPECT_FALSE(cache_->last_exec_stats().entry_created);
+  EXPECT_TRUE(stats_.cache_hit);
+  EXPECT_FALSE(stats_.entry_created);
   std::string diff;
   EXPECT_TRUE(first->ApproxEquals(*second, 1e-9, &diff)) << diff;
 }
@@ -51,7 +61,7 @@ TEST_F(CacheManagerTest, CachedEqualsUncachedOnCleanState) {
 
 TEST_F(CacheManagerTest, CachedEqualsUncachedWithDeltaRows) {
   Transaction warm = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(query_, warm).ok());
+  ASSERT_TRUE(Execute(*cache_, query_, warm).ok());
   for (int64_t h = 11; h <= 14; ++h) {
     ASSERT_OK(testing_util::InsertBusinessObject(
         &db_, header_, item_, h, 2014, 3, 5.0, &next_item_id_));
@@ -64,28 +74,28 @@ TEST_F(CacheManagerTest, CachedEqualsUncachedWithDeltaRows) {
 
 TEST_F(CacheManagerTest, FullPruningSkipsSubjoins) {
   Transaction warm = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(query_, warm).ok());
+  ASSERT_TRUE(Execute(*cache_, query_, warm).ok());
   ASSERT_OK(testing_util::InsertBusinessObject(&db_, header_, item_, 20,
                                                2014, 2, 1.0,
                                                &next_item_id_));
   Transaction txn = db_.Begin();
   ExecutionOptions no_pruning;
   no_pruning.strategy = ExecutionStrategy::kCachedNoPruning;
-  ASSERT_TRUE(cache_->Execute(query_, txn, no_pruning).ok());
-  uint64_t subjoins_no_pruning = cache_->last_exec_stats().subjoins_executed;
+  ASSERT_TRUE(Execute(*cache_, query_, txn, no_pruning).ok());
+  uint64_t subjoins_no_pruning = stats_.subjoins_executed;
 
   ExecutionOptions full;
   full.strategy = ExecutionStrategy::kCachedFullPruning;
-  ASSERT_TRUE(cache_->Execute(query_, txn, full).ok());
-  uint64_t subjoins_full = cache_->last_exec_stats().subjoins_executed;
+  ASSERT_TRUE(Execute(*cache_, query_, txn, full).ok());
+  uint64_t subjoins_full = stats_.subjoins_executed;
   EXPECT_EQ(subjoins_no_pruning, 3u);  // 2^2 - 1.
   EXPECT_EQ(subjoins_full, 1u);        // Only delta x delta.
-  EXPECT_EQ(cache_->last_exec_stats().subjoins_pruned, 2u);
+  EXPECT_EQ(stats_.subjoins_pruned, 2u);
 }
 
 TEST_F(CacheManagerTest, MainCompensationAfterDelete) {
   Transaction warm = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(query_, warm).ok());
+  ASSERT_TRUE(Execute(*cache_, query_, warm).ok());
   // Delete a header (its items become dangling but the join drops them).
   Transaction txn = db_.Begin();
   ASSERT_OK(header_->DeleteByPk(txn, Value(int64_t{1})));
@@ -100,33 +110,33 @@ TEST_F(CacheManagerTest, SingleTableMainCompensationIsIncremental) {
                               .CountStar("n")
                               .Build();
   Transaction warm = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(single, warm).ok());
+  ASSERT_TRUE(Execute(*cache_, single, warm).ok());
   // Delete two items from main.
   Transaction txn = db_.Begin();
   ASSERT_OK(item_->DeleteByPk(txn, Value(int64_t{1})));
   ASSERT_OK(item_->DeleteByPk(txn, Value(int64_t{2})));
   Transaction query_txn = db_.Begin();
-  auto result = cache_->Execute(single, query_txn);
+  auto result = Execute(*cache_, single, query_txn);
   ASSERT_TRUE(result.ok());
   // Single-table entries are compensated, not rebuilt.
-  EXPECT_FALSE(cache_->last_exec_stats().entry_rebuilt);
-  EXPECT_GT(cache_->last_exec_stats().main_comp_ms, 0.0);
+  EXPECT_FALSE(stats_.entry_rebuilt);
+  EXPECT_GT(stats_.main_comp_ms, 0.0);
   ExpectAllStrategiesAgree(&db_, cache_.get(), single);
 }
 
 TEST_F(CacheManagerTest, JoinEntryCompensatedIncrementallyByDefault) {
   Transaction warm = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(query_, warm).ok());
+  ASSERT_TRUE(Execute(*cache_, query_, warm).ok());
   Transaction txn = db_.Begin();
   ASSERT_OK(header_->UpdateByPk(txn, Value(int64_t{2}),
                                 {Value(int64_t{2}), Value(int64_t{2013})}));
   Transaction query_txn = db_.Begin();
-  auto result = cache_->Execute(query_, query_txn);
+  auto result = Execute(*cache_, query_, query_txn);
   ASSERT_TRUE(result.ok());
   // The default config corrects the entry via negative-delta joins, no
   // rebuild (the Section 8 extension).
-  EXPECT_FALSE(cache_->last_exec_stats().entry_rebuilt);
-  EXPECT_GT(cache_->last_exec_stats().main_comp_ms, 0.0);
+  EXPECT_FALSE(stats_.entry_rebuilt);
+  EXPECT_GT(stats_.main_comp_ms, 0.0);
   ExpectAllStrategiesAgree(&db_, cache_.get(), query_);
 }
 
@@ -135,14 +145,14 @@ TEST_F(CacheManagerTest, JoinEntryRebuiltWhenIncrementalDisabled) {
   config.incremental_join_main_compensation = false;
   AggregateCacheManager rebuild_cache(&db_, config);
   Transaction warm = db_.Begin();
-  ASSERT_TRUE(rebuild_cache.Execute(query_, warm).ok());
+  ASSERT_TRUE(Execute(rebuild_cache, query_, warm).ok());
   Transaction txn = db_.Begin();
   ASSERT_OK(header_->UpdateByPk(txn, Value(int64_t{2}),
                                 {Value(int64_t{2}), Value(int64_t{2013})}));
   Transaction query_txn = db_.Begin();
-  auto result = rebuild_cache.Execute(query_, query_txn);
+  auto result = Execute(rebuild_cache, query_, query_txn);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(rebuild_cache.last_exec_stats().entry_rebuilt);
+  EXPECT_TRUE(stats_.entry_rebuilt);
   ExpectAllStrategiesAgree(&db_, &rebuild_cache, query_);
 }
 
@@ -151,8 +161,8 @@ TEST_F(CacheManagerTest, IncrementalAndRebuildCompensationAgree) {
   rebuild_config.incremental_join_main_compensation = false;
   AggregateCacheManager rebuild_cache(&db_, rebuild_config);
   Transaction warm = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(query_, warm).ok());
-  ASSERT_TRUE(rebuild_cache.Execute(query_, warm).ok());
+  ASSERT_TRUE(Execute(*cache_, query_, warm).ok());
+  ASSERT_TRUE(Execute(rebuild_cache, query_, warm).ok());
 
   // A batch of updates and deletes on both join sides.
   Transaction txn = db_.Begin();
@@ -163,8 +173,8 @@ TEST_F(CacheManagerTest, IncrementalAndRebuildCompensationAgree) {
   ASSERT_OK(item_->DeleteByPk(txn, Value(int64_t{6})));
 
   Transaction query_txn = db_.Begin();
-  auto incremental = cache_->Execute(query_, query_txn);
-  auto rebuilt = rebuild_cache.Execute(query_, query_txn);
+  auto incremental = Execute(*cache_, query_, query_txn);
+  auto rebuilt = Execute(rebuild_cache, query_, query_txn);
   ASSERT_TRUE(incremental.ok() && rebuilt.ok());
   std::string diff;
   EXPECT_TRUE(incremental->ApproxEquals(*rebuilt, 1e-9, &diff)) << diff;
@@ -172,7 +182,7 @@ TEST_F(CacheManagerTest, IncrementalAndRebuildCompensationAgree) {
 
 TEST_F(CacheManagerTest, MergeMaintainsEntryIncrementally) {
   Transaction warm = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(query_, warm).ok());
+  ASSERT_TRUE(Execute(*cache_, query_, warm).ok());
   for (int64_t h = 30; h <= 32; ++h) {
     ASSERT_OK(testing_util::InsertBusinessObject(
         &db_, header_, item_, h, 2013, 2, 4.0, &next_item_id_));
@@ -181,19 +191,57 @@ TEST_F(CacheManagerTest, MergeMaintainsEntryIncrementally) {
   // Entry was maintained during the merge: using it is a plain hit with no
   // rebuild, and the result matches uncached execution.
   Transaction txn = db_.Begin();
-  auto result = cache_->Execute(query_, txn);
+  auto result = Execute(*cache_, query_, txn);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(cache_->last_exec_stats().cache_hit);
-  EXPECT_FALSE(cache_->last_exec_stats().entry_rebuilt);
+  EXPECT_TRUE(stats_.cache_hit);
+  EXPECT_FALSE(stats_.entry_rebuilt);
   const CacheEntry* entry = cache_->Find(query_);
   ASSERT_NE(entry, nullptr);
   EXPECT_GT(entry->metrics().maintenance_ms, 0.0);
   ExpectAllStrategiesAgree(&db_, cache_.get(), query_);
 }
 
+TEST_F(CacheManagerTest, EntryBuiltAtOldSnapshotSeesLaterMainChanges) {
+  // A reader whose snapshot predates a main change (rows merged in, or a
+  // main row deleted) misses first: the entry it builds must still be
+  // exact for every later reader.
+  ExecutionOptions uncached;
+  uncached.strategy = ExecutionStrategy::kUncached;
+  auto expect_exact = [&](const Transaction& old_reader) {
+    cache_->Clear();
+    auto old_result = Execute(*cache_, query_, old_reader);
+    ASSERT_TRUE(old_result.ok()) << old_result.status();
+    EXPECT_TRUE(stats_.entry_created);
+    EXPECT_FALSE(stats_.used_cache) << "the caller is older than the entry";
+    auto old_baseline = cache_->Execute(query_, old_reader, uncached);
+    ASSERT_TRUE(old_baseline.ok());
+    EXPECT_TRUE(old_result->ApproxEquals(*old_baseline));
+
+    Transaction reader = db_.Begin();
+    auto result = Execute(*cache_, query_, reader);
+    ASSERT_TRUE(result.ok());
+    EXPECT_TRUE(stats_.cache_hit);
+    auto baseline = cache_->Execute(query_, reader, uncached);
+    ASSERT_TRUE(baseline.ok());
+    std::string diff;
+    EXPECT_TRUE(result->ApproxEquals(*baseline, 1e-9, &diff)) << diff;
+  };
+
+  Transaction before_merge = db_.Begin();
+  ASSERT_OK(testing_util::InsertBusinessObject(&db_, header_, item_, 40,
+                                               2013, 3, 2.0, &next_item_id_));
+  ASSERT_OK(db_.MergeTables({"Header", "Item"}));
+  expect_exact(before_merge);
+
+  Transaction before_delete = db_.Begin();
+  Transaction writer = db_.Begin();
+  ASSERT_OK(item_->DeleteByPk(writer, Value(int64_t{1})));
+  expect_exact(before_delete);
+}
+
 TEST_F(CacheManagerTest, MergeWithKeepInvalidated) {
   Transaction warm = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(query_, warm).ok());
+  ASSERT_TRUE(Execute(*cache_, query_, warm).ok());
   Transaction txn = db_.Begin();
   ASSERT_OK(header_->DeleteByPk(txn, Value(int64_t{3})));
   MergeOptions keep;
@@ -210,9 +258,9 @@ TEST_F(CacheManagerTest, NonCacheableQueryFallsBack) {
                               .Max("Item", "Amount", "m")
                               .Build();
   Transaction txn = db_.Begin();
-  auto result = cache_->Execute(minmax, txn);
+  auto result = Execute(*cache_, minmax, txn);
   ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(cache_->last_exec_stats().used_cache);
+  EXPECT_FALSE(stats_.used_cache);
   EXPECT_EQ(cache_->num_entries(), 0u);
 }
 
@@ -221,14 +269,14 @@ TEST_F(CacheManagerTest, AdmissionRejectsCheapAggregates) {
   config.min_main_exec_ms = 1e9;  // Nothing is ever this expensive.
   AggregateCacheManager picky(&db_, config);
   Transaction txn = db_.Begin();
-  auto result = picky.Execute(query_, txn);
+  auto result = Execute(picky, query_, txn);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(picky.num_entries(), 0u);
-  EXPECT_FALSE(picky.last_exec_stats().used_cache);
+  EXPECT_FALSE(stats_.used_cache);
   // The result is still correct.
   ExecutionOptions uncached;
   uncached.strategy = ExecutionStrategy::kUncached;
-  auto baseline = picky.Execute(query_, txn, uncached);
+  auto baseline = Execute(picky, query_, txn, uncached);
   ASSERT_TRUE(baseline.ok());
   EXPECT_TRUE(result->ApproxEquals(*baseline));
 }
@@ -254,7 +302,7 @@ TEST_F(CacheManagerTest, EvictionRespectsMaxEntries) {
 
 TEST_F(CacheManagerTest, ClearRemovesEntries) {
   Transaction txn = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(query_, txn).ok());
+  ASSERT_TRUE(Execute(*cache_, query_, txn).ok());
   EXPECT_EQ(cache_->num_entries(), 1u);
   EXPECT_GT(cache_->total_bytes(), 0u);
   cache_->Clear();
@@ -266,8 +314,8 @@ TEST_F(CacheManagerTest, PrewarmBuildsEntry) {
   ASSERT_OK(cache_->Prewarm(query_));
   EXPECT_EQ(cache_->num_entries(), 1u);
   Transaction txn = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(query_, txn).ok());
-  EXPECT_TRUE(cache_->last_exec_stats().cache_hit);
+  ASSERT_TRUE(Execute(*cache_, query_, txn).ok());
+  EXPECT_TRUE(stats_.cache_hit);
 }
 
 TEST_F(CacheManagerTest, PrewarmRejectsNonCacheable) {
@@ -281,21 +329,21 @@ TEST_F(CacheManagerTest, PrewarmRejectsNonCacheable) {
 
 TEST_F(CacheManagerTest, EntryRebuiltAfterHotColdSplit) {
   Transaction warm = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(query_, warm).ok());
+  ASSERT_TRUE(Execute(*cache_, query_, warm).ok());
   ASSERT_OK(header_->SplitHotCold("HeaderID", Value(int64_t{6})));
   ASSERT_OK(item_->SplitHotCold("HeaderID", Value(int64_t{6})));
   db_.RegisterAgingGroup({"Header", "Item"});
   Transaction txn = db_.Begin();
-  auto result = cache_->Execute(query_, txn);
+  auto result = Execute(*cache_, query_, txn);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(cache_->last_exec_stats().entry_rebuilt);
+  EXPECT_TRUE(stats_.entry_rebuilt);
   ExpectAllStrategiesAgree(&db_, cache_.get(), query_);
 }
 
 TEST_F(CacheManagerTest, MetricsAccumulate) {
   Transaction txn = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(query_, txn).ok());
-  ASSERT_TRUE(cache_->Execute(query_, txn).ok());
+  ASSERT_TRUE(Execute(*cache_, query_, txn).ok());
+  ASSERT_TRUE(Execute(*cache_, query_, txn).ok());
   const CacheEntry* entry = cache_->Find(query_);
   ASSERT_NE(entry, nullptr);
   // The first Execute is the miss that created the entry; only the second
@@ -308,8 +356,8 @@ TEST_F(CacheManagerTest, MetricsAccumulate) {
 
 TEST_F(CacheManagerTest, ColdExecuteLeavesHitCountZero) {
   Transaction txn = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(query_, txn).ok());
-  ASSERT_TRUE(cache_->last_exec_stats().entry_created);
+  ASSERT_TRUE(Execute(*cache_, query_, txn).ok());
+  ASSERT_TRUE(stats_.entry_created);
   const CacheEntry* entry = cache_->Find(query_);
   ASSERT_NE(entry, nullptr);
   // The miss that created the entry saved nothing: it must not be credited
@@ -321,9 +369,9 @@ TEST_F(CacheManagerTest, ColdExecuteLeavesHitCountZero) {
 
 TEST_F(CacheManagerTest, CreateAndRebuildSurfaceMainExecMs) {
   Transaction txn = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(query_, txn).ok());
-  ASSERT_TRUE(cache_->last_exec_stats().entry_created);
-  EXPECT_GT(cache_->last_exec_stats().main_exec_ms, 0.0);
+  ASSERT_TRUE(Execute(*cache_, query_, txn).ok());
+  ASSERT_TRUE(stats_.entry_created);
+  EXPECT_GT(stats_.main_exec_ms, 0.0);
 
   // A hot/cold split changes the partition layout, forcing the rebuild path
   // of GetOrCreateEntry; callers must see the build cost there too.
@@ -331,9 +379,9 @@ TEST_F(CacheManagerTest, CreateAndRebuildSurfaceMainExecMs) {
   ASSERT_OK(item_->SplitHotCold("HeaderID", Value(int64_t{6})));
   db_.RegisterAgingGroup({"Header", "Item"});
   Transaction txn2 = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(query_, txn2).ok());
-  ASSERT_TRUE(cache_->last_exec_stats().entry_rebuilt);
-  EXPECT_GT(cache_->last_exec_stats().main_exec_ms, 0.0);
+  ASSERT_TRUE(Execute(*cache_, query_, txn2).ok());
+  ASSERT_TRUE(stats_.entry_rebuilt);
+  EXPECT_GT(stats_.main_exec_ms, 0.0);
 }
 
 TEST_F(CacheManagerTest, EvictionByteAccountingMatchesRecomputation) {
@@ -383,8 +431,8 @@ TEST_F(CacheManagerTest, MergeSkipsEntriesNotReferencingMergedTable) {
                                    .Sum("Other", "V", "s")
                                    .Build();
   Transaction warm = db_.Begin();
-  ASSERT_TRUE(cache_->Execute(other_query, warm).ok());
-  ASSERT_TRUE(cache_->Execute(query_, warm).ok());
+  ASSERT_TRUE(Execute(*cache_, other_query, warm).ok());
+  ASSERT_TRUE(Execute(*cache_, query_, warm).ok());
 
   ASSERT_OK(testing_util::InsertBusinessObject(&db_, header_, item_, 50,
                                                2014, 2, 2.0,

@@ -120,13 +120,14 @@ TEST_F(ChBenchTest, FullPruningSkipsMostSubjoins) {
   AggregateCacheManager cache(&db_);
   Transaction txn = db_.Begin();
   AggregateQuery q5 = dataset_->Q5();
+  CacheExecStats stats;
   ExecutionOptions full;
   full.strategy = ExecutionStrategy::kCachedFullPruning;
+  full.stats = &stats;
   ASSERT_TRUE(cache.Execute(q5, txn, full).ok());  // Warm.
   ASSERT_TRUE(cache.Execute(q5, txn, full).ok());
   // Q5 joins 7 tables: 127 compensation subjoins; pruning must remove the
   // overwhelming majority.
-  const CacheExecStats& stats = cache.last_exec_stats();
   EXPECT_EQ(stats.subjoins_executed + stats.subjoins_pruned, 127u);
   EXPECT_GT(stats.subjoins_pruned, 100u);
 }

@@ -150,6 +150,70 @@ TEST_F(ConcurrentStressTest, EvictionChurnNeverCorruptsReaders) {
   EXPECT_LE(cache.num_entries(), 1u);
 }
 
+TEST_F(ConcurrentStressTest, PerCallStatsStayExactUnderConcurrency) {
+  // Each call's stats count only its own work: threads running an uncached
+  // query beside threads hitting a cached one must each report exactly
+  // what the same call reports single-threaded.
+  AggregateCacheManager cache(&db_);
+  AggregateQuery by_header = QueryBuilder()
+                                 .From("Item")
+                                 .GroupBy("Item", "HeaderID")
+                                 .Sum("Item", "Amount", "total")
+                                 .Build();
+  ExecutionOptions uncached;
+  uncached.strategy = ExecutionStrategy::kUncached;
+  ExecutionOptions cached;
+  cached.strategy = ExecutionStrategy::kCachedFullPruning;
+  auto run = [&](const AggregateQuery& query, ExecutionOptions options,
+                 CacheExecStats* stats) {
+    options.stats = stats;
+    Transaction txn = db_.Begin();
+    return cache.Execute(query, txn, options).ok();
+  };
+  CacheExecStats warm;
+  ASSERT_TRUE(run(query_, cached, &warm));
+  ASSERT_TRUE(warm.entry_created);
+  CacheExecStats expect_uncached;
+  CacheExecStats expect_cached;
+  ASSERT_TRUE(run(by_header, uncached, &expect_uncached));
+  ASSERT_TRUE(run(query_, cached, &expect_cached));
+  ASSERT_FALSE(expect_uncached.used_cache);
+  ASSERT_GT(expect_uncached.subjoins_executed, 0u);
+  ASSERT_TRUE(expect_cached.cache_hit);
+  ASSERT_GT(expect_cached.subjoins_executed, 0u);
+  ASSERT_GT(expect_cached.subjoins_pruned, 0u);
+
+  constexpr int kThreads = 4;
+  constexpr int kRepsPerThread = 25;
+  std::atomic<int> failures{0};
+  std::atomic<int> diverged{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const bool is_cached = t % 2 == 1;
+      const CacheExecStats& expect =
+          is_cached ? expect_cached : expect_uncached;
+      for (int r = 0; r < kRepsPerThread; ++r) {
+        CacheExecStats got;
+        if (!run(is_cached ? query_ : by_header,
+                 is_cached ? cached : uncached, &got)) {
+          failures.fetch_add(1);
+          continue;
+        }
+        if (got.used_cache != expect.used_cache ||
+            got.cache_hit != expect.cache_hit ||
+            got.subjoins_executed != expect.subjoins_executed ||
+            got.subjoins_pruned != expect.subjoins_pruned) {
+          diverged.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(diverged.load(), 0);
+}
+
 TEST_F(ConcurrentStressTest, DaemonStopsCleanlyMidMerge) {
   // Hold every merge publish open for a while so Stop() reliably lands
   // while a merge is in flight; Stop must wait for it, not abandon it.

@@ -55,9 +55,11 @@ class FaultInjectionTest : public ::testing::Test {
     auto baseline = cache->Execute(query, txn, uncached);
     ASSERT_TRUE(baseline.ok()) << baseline.status();
 
-    auto cached = cache->Execute(query, txn, ExecutionOptions());
+    CacheExecStats stats;
+    ExecutionOptions options;
+    options.stats = &stats;
+    auto cached = cache->Execute(query, txn, options);
     ASSERT_TRUE(cached.ok()) << cached.status();
-    const CacheExecStats& stats = cache->last_exec_stats();
     EXPECT_FALSE(stats.cache_hit);
     EXPECT_TRUE(stats.entry_rebuilt);
     EXPECT_GT(stats.main_exec_ms, 0.0);
@@ -88,6 +90,34 @@ TEST_F(FaultInjectionTest, FailedBindDuringMergeMarksForRebuild) {
   ASSERT_OK(InsertBusinessObject(&db_, header_, item_, 5, 2015, 2, 99.0,
                                  &next_item_id_));
   ExpectRebuildWithCorrectResult(&cache);
+}
+
+TEST_F(FaultInjectionTest, RebuildByAnOlderReaderKeepsMergedRows) {
+  // The merge's maintenance fails, so the next access rebuilds the entry.
+  // When that access is a reader whose snapshot predates the merge, the
+  // rebuilt entry must still hold the merged rows for later readers.
+  AggregateCacheManager cache(&db_);
+  WarmEntry(&cache);
+  Transaction old_reader = db_.Begin();
+  ASSERT_OK(InsertBusinessObject(&db_, header_, item_, 5, 2015, 2, 99.0,
+                                 &next_item_id_));
+  FaultInjector::Global().Arm("maintenance.bind", {/*probability=*/1.0});
+  ASSERT_OK(db_.MergeAll());
+  FaultInjector::Global().DisarmAll();
+
+  const AggregateQuery query = HeaderItemQuery();
+  ExecutionOptions uncached;
+  uncached.strategy = ExecutionStrategy::kUncached;
+  auto expect_exact = [&](const Transaction& txn) {
+    auto cached = cache.Execute(query, txn, ExecutionOptions());
+    auto baseline = cache.Execute(query, txn, uncached);
+    ASSERT_TRUE(cached.ok() && baseline.ok());
+    std::string diff;
+    EXPECT_TRUE(cached->ApproxEquals(*baseline, 1e-9, &diff)) << diff;
+  };
+  expect_exact(old_reader);
+  Transaction reader = db_.Begin();
+  expect_exact(reader);
 }
 
 TEST_F(FaultInjectionTest, FailedDeltaFoldMarksForRebuild) {

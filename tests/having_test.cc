@@ -87,9 +87,12 @@ TEST_F(HavingTest, QueriesDifferingOnlyInHavingShareAnEntry) {
   Transaction txn = db_.Begin();
   ASSERT_TRUE(cache_->Execute(RevenueWithHaving(20.0), txn).ok());
   EXPECT_EQ(cache_->num_entries(), 1u);
-  ASSERT_TRUE(cache_->Execute(RevenueWithHaving(35.0), txn).ok());
+  CacheExecStats stats;
+  ExecutionOptions options;
+  options.stats = &stats;
+  ASSERT_TRUE(cache_->Execute(RevenueWithHaving(35.0), txn, options).ok());
   EXPECT_EQ(cache_->num_entries(), 1u);  // Same underlying aggregate.
-  EXPECT_TRUE(cache_->last_exec_stats().cache_hit);
+  EXPECT_TRUE(stats.cache_hit);
 }
 
 TEST_F(HavingTest, ValidateChecksAggregateIndex) {

@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "obs/engine_metrics.h"
 #include "obs/query_trace.h"
+#include "obs/span.h"
 
 namespace aggcache {
 namespace {
@@ -116,24 +117,24 @@ TEST_F(PerfCountersTest, TraceOmitsPerfFieldsWhenUnavailable) {
 }
 
 TEST_F(PerfCountersTest, PhaseRegionIsInertWithoutConsumers) {
-  // No trace installed, no span: the region must not arm (and thus must
+  // No trace installed, no span: the phase must not arm (and thus must
   // not read counters), keeping the span-overhead budget intact.
   PerfCounters::SimulateOpenFailureForTest(EACCES);
   {
-    PerfPhaseRegion region("test_phase");
+    Phase phase(SpanKind::kEntryBuild);
   }  // Destructor must be a no-op; nothing to assert beyond not crashing.
   PerfCounters::ResetForTest();
 
-  // With a trace installed the region feeds trace.perf_phases — but only
+  // With a trace installed the phase feeds trace.perf_phases — but only
   // when the counters are readable.
   QueryTrace trace;
   {
     TraceContext scope(&trace);
-    PerfPhaseRegion region("test_phase");
+    Phase phase(SpanKind::kEntryBuild);
   }
   if (PerfCounters::Available()) {
     ASSERT_EQ(trace.perf_phases.size(), 1u);
-    EXPECT_STREQ(trace.perf_phases[0].phase, "test_phase");
+    EXPECT_STREQ(trace.perf_phases[0].phase, "entry_build");
     EXPECT_TRUE(trace.perf_phases[0].delta.valid);
   } else {
     EXPECT_TRUE(trace.perf_phases.empty());

@@ -275,9 +275,12 @@ TEST_P(RandomWorkloadTest, RandomizedAggregateFunctionAgrees) {
   }
   if (pick >= 3) {
     Transaction txn = db_.Begin();
-    auto result = cache_->Execute(query, txn, ExecutionOptions());
+    CacheExecStats stats;
+    ExecutionOptions options;
+    options.stats = &stats;
+    auto result = cache_->Execute(query, txn, options);
     ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_FALSE(cache_->last_exec_stats().used_cache);
+    EXPECT_FALSE(stats.used_cache);
     EXPECT_EQ(cache_->Find(query), nullptr);
   }
 }

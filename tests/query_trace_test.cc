@@ -229,10 +229,11 @@ class ExplainTraceTest : public ::testing::Test {
     return combos;
   }
 
-  StatusOr<AggregateResult> RunTraced(const ExecutionOptions& options,
+  StatusOr<AggregateResult> RunTraced(ExecutionOptions options,
                                       QueryTrace* trace) {
     Transaction txn = db_.Begin();
-    return cache_.ExecuteTraced(ThreeTableQuery(), txn, options, trace);
+    options.trace = trace;
+    return cache_.Execute(ThreeTableQuery(), txn, options);
   }
 
   /// delta(executor subjoins) must equal the trace's executed + pushdown

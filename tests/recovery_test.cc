@@ -327,14 +327,5 @@ TEST_F(RecoveryTest, MergeDaemonRefusesToStartDuringRestore) {
   EXPECT_DEATH(daemon.Start(), "recovery");
 }
 
-TEST_F(RecoveryTest, MetricsDumperBlockedDuringRestore) {
-  EXPECT_DEATH(
-      {
-        MetricsDumper::BlockStarts(true);
-        MetricsDumper::MaybeStartFromEnv();
-      },
-      "recovery");
-}
-
 }  // namespace
 }  // namespace aggcache

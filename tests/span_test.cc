@@ -8,6 +8,7 @@
 #include "obs/span.h"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <set>
 #include <string>
@@ -16,6 +17,7 @@
 
 #include "cache/cache_metrics.h"
 #include "gtest/gtest.h"
+#include "obs/active_queries.h"
 #include "tests/test_util.h"
 
 namespace aggcache {
@@ -325,6 +327,75 @@ TEST(ScopedSpanTest, BackgroundSpanGetsOwnLaneAndNests) {
   }
 }
 
+TEST(PhaseTest, SetsTheActiveQueryPhase) {
+  ActiveQueryGuard guard("SELECT phase", "uncached", nullptr);
+  ASSERT_NE(guard.id(), 0u);
+  auto listed_phase = [&guard] {
+    for (const ActiveQueryRegistry::Info& info :
+         ActiveQueryRegistry::Global().List()) {
+      if (info.id == guard.id()) return info.phase;
+    }
+    return std::string("unregistered");
+  };
+  EXPECT_EQ(listed_phase(), "queued");
+  {
+    Phase phase(SpanKind::kDeltaCompensation);
+    EXPECT_EQ(listed_phase(), "delta_compensation");
+  }
+  Phase exec(SpanKind::kUncachedExec);
+  EXPECT_EQ(listed_phase(), "uncached_exec");
+}
+
+TEST(PhaseTest, SpanDurationIsTheElapsedReading) {
+  ScopedGlobalSpans enable;
+  uint64_t query_id = 0;
+  uint64_t root_id = 0;
+  uint64_t elapsed_us = 0;
+  {
+    QueryRootSpan root;
+    ASSERT_TRUE(root.active());
+    query_id = root.link().query_id;
+    root_id = root.link().span_id;
+    Phase phase(SpanKind::kMainCorrection);
+    EXPECT_NE(CurrentSpanLink().span_id, root_id) << "phase span is current";
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    phase.End();
+    elapsed_us = phase.elapsed_us();
+    EXPECT_EQ(CurrentSpanLink().span_id, root_id)
+        << "End() restores the parent link";
+  }
+  EXPECT_GE(elapsed_us, 2000u);
+  std::vector<SpanRecorder::Span> spans = SpansOfQuery(query_id);
+  ASSERT_EQ(spans.size(), 2u);
+  int phases = 0;
+  for (const SpanRecorder::Span& span : spans) {
+    if (span.kind != SpanKind::kMainCorrection) continue;
+    ++phases;
+    EXPECT_EQ(span.parent_id, root_id);
+    EXPECT_NEAR(static_cast<double>(span.dur_us),
+                static_cast<double>(elapsed_us), 1.0);
+  }
+  EXPECT_EQ(phases, 1);
+}
+
+TEST(PhaseTest, RecordsNothingWithSpansOff) {
+  SpanRecorder& recorder = SpanRecorder::Global();
+  bool was_enabled = recorder.enabled();
+  recorder.set_enabled(false);
+  uint64_t before = recorder.recorded_spans();
+  {
+    QueryRootSpan root;
+    EXPECT_FALSE(root.active());
+    Phase phase(SpanKind::kCacheLookup);
+    EXPECT_FALSE(CurrentSpanLink().sampled());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    phase.End();
+    EXPECT_GE(phase.elapsed_us(), 1000u) << "the duration is still measured";
+  }
+  EXPECT_EQ(recorder.recorded_spans(), before);
+  recorder.set_enabled(was_enabled);
+}
+
 // ---------------------------------------------------------------------------
 // Ledger EWMA math (cache_metrics.h).
 
@@ -395,9 +466,10 @@ TEST_F(SpanTreeTest, QueryTreeReconcilesWithQueryTrace) {
   }
   uint64_t queries_before = SpanRecorder::Global().recorded_spans();
   QueryTrace trace;
+  ExecutionOptions options;
+  options.trace = &trace;
   Transaction txn = db_.Begin();
-  auto result =
-      cache.ExecuteTraced(HeaderItemQuery(), txn, ExecutionOptions(), &trace);
+  auto result = cache.Execute(HeaderItemQuery(), txn, options);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_GT(SpanRecorder::Global().recorded_spans(), queries_before);
   EXPECT_EQ(trace.cache_outcome, "hit");
@@ -447,10 +519,9 @@ TEST_F(SpanTreeTest, QueryTreeReconcilesWithQueryTrace) {
   EXPECT_GE(direct_children_us + 1,
             static_cast<uint64_t>(root->dur_us * 0.80))
       << "span tree explains too little of the query latency";
-  // And the root must cover what the QueryTrace measured end-to-end
-  // (the root starts before ExecuteInternal's total_watch).
-  EXPECT_GE(static_cast<double>(root->dur_us) + 200.0,
-            trace.total_ms * 1000.0);
+  // The root span and the QueryTrace's end-to-end time come from the same
+  // two clock readings; they differ only by microsecond truncation.
+  EXPECT_NEAR(static_cast<double>(root->dur_us), trace.total_ms * 1000.0, 1.0);
 }
 
 TEST_F(SpanTreeTest, MissRecordsEntryBuildUnderLookup) {

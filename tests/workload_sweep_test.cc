@@ -54,13 +54,15 @@ TEST_P(ErpSweepTest, InvariantsHoldAtEveryScale) {
   // Perfect temporal locality: full pruning executes exactly one subjoin
   // (delta x delta x empty-category-delta is itself pruned, leaving
   // header-delta x item-delta x category-main).
+  CacheExecStats stats;
   ExecutionOptions full;
   full.strategy = ExecutionStrategy::kCachedFullPruning;
+  full.stats = &stats;
   Transaction txn = db.Begin();
   auto result = cache.Execute(dataset.ProfitByCategoryQuery(2013), txn, full);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(cache.last_exec_stats().subjoins_executed, 1u);
-  EXPECT_EQ(cache.last_exec_stats().subjoins_pruned, 6u);
+  EXPECT_EQ(stats.subjoins_executed, 1u);
+  EXPECT_EQ(stats.subjoins_pruned, 6u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
