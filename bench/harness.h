@@ -13,7 +13,7 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "obs/bench_report.h"
+#include "bench/bench_report.h"
 
 namespace aggcache {
 namespace bench {

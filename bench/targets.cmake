@@ -20,9 +20,15 @@ set(AGGCACHE_BENCH_TARGETS
   bench_overload
 )
 
+# The BENCH_*.json report builder and flag protocol shared by the bench
+# binaries (bench/harness.h) and their schema test; not part of the engine.
+add_library(aggcache_bench_report STATIC bench/bench_report.cc)
+target_link_libraries(aggcache_bench_report PUBLIC aggcache)
+target_include_directories(aggcache_bench_report PUBLIC ${CMAKE_SOURCE_DIR})
+
 foreach(target ${AGGCACHE_BENCH_TARGETS})
   add_executable(${target} bench/${target}.cpp)
-  target_link_libraries(${target} PRIVATE aggcache)
+  target_link_libraries(${target} PRIVATE aggcache_bench_report)
   target_include_directories(${target} PRIVATE ${CMAKE_SOURCE_DIR})
   set_target_properties(${target} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
@@ -42,7 +48,7 @@ set_target_properties(verify_fuzz PROPERTIES
 # in-flight cross-strategy diffs and oracle checkpoints at quiesce barriers.
 # Run under -DAGGCACHE_SANITIZE=thread for the TSAN proof.
 add_executable(stress_concurrent bench/stress_concurrent.cpp)
-target_link_libraries(stress_concurrent PRIVATE aggcache)
+target_link_libraries(stress_concurrent PRIVATE aggcache_bench_report)
 target_include_directories(stress_concurrent PRIVATE ${CMAKE_SOURCE_DIR})
 set_target_properties(stress_concurrent PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

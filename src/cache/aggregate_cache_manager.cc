@@ -390,13 +390,10 @@ Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
       task_status[i] = partial.status();
     }
   });
-  // Stats merge all-or-none before the error check, matching the registry
-  // flushes each subjoin already performed on its worker.
   uint64_t rows_aggregated = 0;
   uint64_t subjoins_executed = 0;
   Status first_error;
   for (size_t i = 0; i < combos.size(); ++i) {
-    executor_.stats().MergeFrom(task_stats[i]);
     rows_aggregated += task_stats[i].rows_scanned;
     subjoins_executed += task_stats[i].subjoins_executed;
     if (first_error.ok() && !task_status[i].ok()) first_error = task_status[i];
@@ -582,55 +579,22 @@ Status AggregateCacheManager::MainCompensate(CacheEntry& entry,
                                              CacheExecStats* stats) {
   if (!entry.IsDirty(bound.tables)) return Status::Ok();
   Phase phase(SpanKind::kMainCorrection);
-  auto finish = [&] {
-    phase.End();
-    if (stats != nullptr) stats->main_comp_ms += phase.elapsed_ms();
-    EngineMetrics::Get().cache_main_comp_us->Observe(phase.elapsed_us());
-    return Status::Ok();
-  };
-  if (bound.tables.size() > 1) {
-    if (config_.incremental_join_main_compensation) {
-      RETURN_IF_ERROR(JoinMainCompensate(entry, bound, snapshot, stats));
-    } else {
-      // The paper's baseline behaviour: recompute the entry.
-      RETURN_IF_ERROR(RebuildEntry(entry, bound, snapshot, stats));
-      if (stats != nullptr) stats->entry_rebuilt = true;
-    }
-    return finish();
+  if (bound.tables.size() > 1 && !config_.incremental_join_main_compensation) {
+    // The paper's baseline behaviour for join entries: recompute the entry.
+    RETURN_IF_ERROR(RebuildEntry(entry, bound, snapshot, stats));
+    if (stats != nullptr) stats->entry_rebuilt = true;
+  } else {
+    RETURN_IF_ERROR(IncrementalMainCompensate(entry, bound, snapshot, stats));
   }
-
-  // Single-table entry: bit-vector comparison finds rows invalidated since
-  // the snapshot; subtract their contribution (Section 2.2).
-  const Table& table = *bound.tables[0];
-  for (size_t g = 0; g < table.num_groups(); ++g) {
-    const Partition& main = table.group(g).main;
-    CacheEntry::MainSnapshot& snap = entry.snapshots()[0][g];
-    if (main.invalidation_count() == snap.invalidation_count) continue;
-    BitVector current = ConsistentViewManager::ComputeVisibility(
-        main.create_tids(), main.invalidate_tids(), snapshot);
-    std::vector<uint32_t> invalidated =
-        snap.visibility.OnesClearedIn(current);
-    ASSIGN_OR_RETURN(AggregateResult contribution,
-                     ComputeRowsContribution(bound, g, invalidated));
-    SubjoinCombination combo{
-        PartitionRef{static_cast<uint32_t>(g), PartitionKind::kMain}};
-    auto it = entry.main_partials().find(combo);
-    if (it == entry.main_partials().end()) {
-      return Status::Internal("missing main partial for group");
-    }
-    RETURN_IF_ERROR(it->second.SubtractFrom(contribution));
-    snap.visibility = std::move(current);
-    snap.invalidation_count = main.invalidation_count();
-  }
-  entry.set_base_tid(snapshot.read_tid);
-  RefreshEntrySize(entry);
-  return finish();
+  phase.End();
+  if (stats != nullptr) stats->main_comp_ms += phase.elapsed_ms();
+  EngineMetrics::Get().cache_main_comp_us->Observe(phase.elapsed_us());
+  return Status::Ok();
 }
 
-Status AggregateCacheManager::JoinMainCompensate(CacheEntry& entry,
-                                                 const BoundQuery& bound,
-                                                 Snapshot snapshot,
-                                                 CacheExecStats* stats) {
+Status AggregateCacheManager::IncrementalMainCompensate(
+    CacheEntry& entry, const BoundQuery& bound, Snapshot snapshot,
+    CacheExecStats* stats) {
   const size_t num_tables = bound.tables.size();
 
   // Invalidated ("negative delta") rows per (table, group) since the entry
@@ -719,11 +683,8 @@ Status AggregateCacheManager::JoinMainCompensate(CacheEntry& entry,
     }
   });
 
-  // Stats merge all-or-none first, so a failed correction term cannot leave
-  // the shared counters short of what the registry already recorded.
   Status first_error;
   for (size_t j = 0; j < jobs.size(); ++j) {
-    executor_.stats().MergeFrom(task_stats[j]);
     if (stats != nullptr) {
       stats->subjoins_executed += task_stats[j].subjoins_executed;
     }
@@ -885,8 +846,10 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
     if (trace != nullptr) trace->cache_outcome = outcome;
     lookup.reset();
     Phase exec(SpanKind::kUncachedExec);
-    return executor_.ExecuteUncachedBound(bound, snapshot,
-                                          &stats->subjoins_executed);
+    ExecutorStats exec_stats;
+    auto result = executor_.ExecuteUncachedBound(bound, snapshot, &exec_stats);
+    stats->subjoins_executed += exec_stats.subjoins_executed;
+    return result;
   };
 
   if (options.strategy == ExecutionStrategy::kUncached ||

@@ -243,26 +243,28 @@ class AggregateCacheManager : public MergeObserver,
   Status RebuildEntry(CacheEntry& entry, const BoundQuery& bound,
                       Snapshot snapshot, CacheExecStats* stats);
 
-  /// Applies pending main-partition invalidations to the entry: bit-vector
-  /// diff + subtract for single-table entries (Section 2.2); for join
-  /// entries, negative-delta correction joins (incremental, see
-  /// JoinMainCompensate) or a full rebuild per the config. Caller holds the
-  /// entry's value lock exclusively.
+  /// Applies pending main-partition invalidations to the entry through
+  /// IncrementalMainCompensate, or — for join entries when the config turns
+  /// incremental join compensation off — through a full rebuild. Caller
+  /// holds the entry's value lock exclusively.
   Status MainCompensate(CacheEntry& entry, const BoundQuery& bound,
                         Snapshot snapshot, CacheExecStats* stats);
 
-  /// Incremental main compensation for join entries. Expanding the cached
-  /// all-main join over per-table entry-visible rows V_i = C_i + N_i
-  /// (current rows plus rows invalidated since the snapshot) gives
+  /// Incremental main compensation (Section 2.2): the bit-vector diff of
+  /// each dirty main partition yields its invalidated ("negative delta")
+  /// rows N_i. Expanding the cached all-main join over per-table
+  /// entry-visible rows V_i = C_i + N_i (current rows plus rows invalidated
+  /// since the snapshot) gives
   ///
   ///   prod V_i  =  sum over subsets S of join(N_i for i in S, C_j else),
   ///
   /// so the up-to-date result prod C_i is the cached value minus every
-  /// correction join with at least one table restricted to its invalidated
-  /// ("negative delta") rows. The N_i sets are tiny, so each correction is
-  /// cheap — realizing the paper's Section 8 proposal.
-  Status JoinMainCompensate(CacheEntry& entry, const BoundQuery& bound,
-                            Snapshot snapshot, CacheExecStats* stats);
+  /// correction join with at least one table restricted to its N_i. The N_i
+  /// sets are tiny, so each correction is cheap — for join entries this
+  /// realizes the paper's Section 8 proposal. A single-table entry is the
+  /// one-table case: one correction per dirty group, over its N_i alone.
+  Status IncrementalMainCompensate(CacheEntry& entry, const BoundQuery& bound,
+                                   Snapshot snapshot, CacheExecStats* stats);
 
   void RefreshSnapshots(CacheEntry& entry, const BoundQuery& bound,
                         Snapshot snapshot);

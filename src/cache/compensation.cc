@@ -10,7 +10,7 @@
 
 namespace aggcache {
 
-StatusOr<AggregateResult> DeltaCompensate(Executor& executor,
+StatusOr<AggregateResult> DeltaCompensate(const Executor& executor,
                                           const BoundQuery& bound,
                                           const std::vector<MdBinding>& mds,
                                           JoinPruner& pruner,
@@ -77,12 +77,8 @@ StatusOr<AggregateResult> DeltaCompensate(Executor& executor,
     if (ctx != nullptr) ctx->AddRowsScanned(task_stats[i].rows_scanned);
   });
 
-  // Counters merge all-or-none before any error check: each task already
-  // flushed into the global metrics registry, so dropping later tasks'
-  // stats on a mid-fanout failure would desynchronize the two.
   Status first_error;
   for (size_t i = 0; i < subjoins.size(); ++i) {
-    executor.stats().MergeFrom(task_stats[i]);
     if (stats != nullptr) {
       ++stats->subjoins_executed;
       stats->rows_scanned += task_stats[i].rows_scanned;
@@ -95,40 +91,6 @@ StatusOr<AggregateResult> DeltaCompensate(Executor& executor,
   AggregateResult result(bound.aggregates.size());
   for (size_t i = 0; i < subjoins.size(); ++i) {
     result.MergeFrom(partials[i]);
-  }
-  return result;
-}
-
-StatusOr<AggregateResult> ComputeRowsContribution(
-    const BoundQuery& bound, size_t group_index,
-    std::span<const uint32_t> rows) {
-  if (bound.tables.size() != 1) {
-    return Status::InvalidArgument(
-        "row-level contribution is defined for single-table queries");
-  }
-  const Partition& main = bound.tables[0]->group(group_index).main;
-  AggregateResult result(bound.aggregates.size());
-  GroupKey key;
-  key.values.resize(bound.group_by.size());
-  std::vector<Value> inputs(bound.aggregates.size());
-  for (uint32_t r : rows) {
-    bool pass = true;
-    for (const BoundQuery::BoundFilter& f : bound.filters) {
-      if (!EvalCompare(f.op, main.column(f.column).GetValue(r), f.operand)) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) continue;
-    for (size_t g = 0; g < bound.group_by.size(); ++g) {
-      key.values[g] = main.column(bound.group_by[g].column).GetValue(r);
-    }
-    for (size_t a = 0; a < bound.aggregates.size(); ++a) {
-      const BoundQuery::BoundAggregate& agg = bound.aggregates[a];
-      inputs[a] = agg.is_count_star ? Value()
-                                    : main.column(agg.column).GetValue(r);
-    }
-    result.Accumulate(key, inputs);
   }
   return result;
 }

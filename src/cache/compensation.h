@@ -1,7 +1,6 @@
 #ifndef AGGCACHE_CACHE_COMPENSATION_H_
 #define AGGCACHE_CACHE_COMPENSATION_H_
 
-#include <span>
 #include <vector>
 
 #include "objectaware/join_pruning.h"
@@ -25,19 +24,12 @@ struct CompensationStats {
 /// and, when `use_pushdown` is set, applying MD-derived local predicates to
 /// the non-prunable ones (Section 5.3). The union of the returned result
 /// with the cached main result is the consistent query answer.
-StatusOr<AggregateResult> DeltaCompensate(Executor& executor,
+StatusOr<AggregateResult> DeltaCompensate(const Executor& executor,
                                           const BoundQuery& bound,
                                           const std::vector<MdBinding>& mds,
                                           JoinPruner& pruner,
                                           bool use_pushdown, Snapshot snapshot,
                                           CompensationStats* stats);
-
-/// Contribution of specific rows of one main partition to a single-table
-/// aggregate query (filters applied). Used by main compensation to subtract
-/// invalidated rows from a cached entry.
-StatusOr<AggregateResult> ComputeRowsContribution(const BoundQuery& bound,
-                                                  size_t group_index,
-                                                  std::span<const uint32_t> rows);
 
 }  // namespace aggcache
 

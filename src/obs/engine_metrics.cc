@@ -86,13 +86,6 @@ const EngineMetrics& EngineMetrics::Get() {
         "aggcache_executor_fallback_groupings_total",
         "Aggregations that fell back to materialized group keys");
 
-    m->sharedscan_leads = r.GetCounter(
-        "aggcache_sharedscan_leads_total",
-        "Cooperative delta scan sessions led");
-    m->sharedscan_attaches = r.GetCounter(
-        "aggcache_sharedscan_attaches_total",
-        "Attaches to another query's in-flight cooperative delta scan");
-
     m->prune_considered = r.GetCounter(
         "aggcache_pruner_considered_total",
         "Subjoin combinations tested by the join pruner");

@@ -48,10 +48,6 @@ struct EngineMetrics {
   Counter* exec_packed_groupings;    ///< Aggregations with packed u64 keys.
   Counter* exec_fallback_groupings;  ///< Aggregations on materialized keys.
 
-  // Shared delta scans.
-  Counter* sharedscan_leads;         ///< Cooperative scan sessions led.
-  Counter* sharedscan_attaches;      ///< Attaches to an in-flight session.
-
   // Object-aware pruner + pushdown.
   Counter* prune_considered;
   Counter* pruned_empty;

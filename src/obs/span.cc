@@ -76,10 +76,6 @@ const char* SpanKindToString(SpanKind kind) {
       return "uncached_exec";
     case SpanKind::kSubjoinTask:
       return "subjoin_task";
-    case SpanKind::kSharedScanLead:
-      return "sharedscan_lead";
-    case SpanKind::kSharedScanAttach:
-      return "sharedscan_attach";
     case SpanKind::kMerge:
       return "merge";
     case SpanKind::kCheckpoint:

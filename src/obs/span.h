@@ -30,8 +30,6 @@ enum class SpanKind : uint8_t {
   kDeltaCompensation,  ///< Delta-side compensation subjoins.
   kUncachedExec,       ///< Full recompute (uncached / fallback path).
   kSubjoinTask,        ///< One parallel subjoin task (worker thread).
-  kSharedScanLead,     ///< Leading a shared delta scan.
-  kSharedScanAttach,   ///< Attached as a follower to a shared scan.
   kMerge,              ///< Merge-daemon delta merge (background root).
   kCheckpoint,         ///< Checkpoint write (background root).
   kWalSync,            ///< WAL group-commit fdatasync (background root).

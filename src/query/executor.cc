@@ -10,7 +10,6 @@
 #include "obs/engine_metrics.h"
 #include "obs/span.h"
 #include "obs/trace_recorder.h"
-#include "query/shared_scan.h"
 #include "query/vector_kernels.h"
 #include "runtime/query_context.h"
 
@@ -87,11 +86,9 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
   if (combination.size() != num_tables) {
     return Status::InvalidArgument("combination arity mismatch");
   }
-  // Counters accumulate locally and flush on every return path: into the
-  // caller's per-task block when given (parallel callers must pass one),
-  // into the atomic shared stats otherwise, and always into the global
-  // metrics registry — relaxed atomics, so the flush is lock-free even
-  // from pool workers.
+  // Counters accumulate locally and flush on every return path into the
+  // global metrics registry — relaxed atomics, so the flush is lock-free
+  // even from pool workers — and into the caller's block when given.
   ExecutorStats counters;
   // Governance: the installed QueryContext (if any) is polled per kernel
   // block inside the selection loops, per kSelectionBlockRows iterations in
@@ -102,7 +99,6 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
   QueryContext* ctx = QueryContext::Current();
   size_t charged_bytes = 0;
   struct FlushOnExit {
-    const Executor* executor;
     ExecutorStats* caller;
     const ExecutorStats* local;
     QueryContext* ctx;
@@ -120,15 +116,9 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
       metrics.exec_code_joins->Increment(local->code_joins);
       metrics.exec_packed_groupings->Increment(local->packed_groupings);
       metrics.exec_fallback_groupings->Increment(local->fallback_groupings);
-      metrics.sharedscan_leads->Increment(local->shared_scan_leads);
-      metrics.sharedscan_attaches->Increment(local->shared_scan_attaches);
-      if (caller != nullptr) {
-        caller->MergeFrom(*local);
-      } else {
-        executor->stats_.MergeFrom(*local);
-      }
+      if (caller != nullptr) caller->MergeFrom(*local);
     }
-  } flush{this, stats, &counters, ctx, &charged_bytes};
+  } flush{stats, &counters, ctx, &charged_bytes};
   ++counters.subjoins_executed;
   if (ctx != nullptr) RETURN_IF_ERROR(ctx->Check());
   // Charges `bytes` against the query; refusals abort the query with a
@@ -180,9 +170,7 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
   // Selection runs through the batched code-space kernels: filters compile
   // once per table (sorted main -> contiguous code ranges; delta equality
   // -> a single code; value comparison otherwise), then 1024-row blocks
-  // stream through tight loops over dictionary codes. Unrestricted scans of
-  // sizable delta partitions coalesce into cooperative shared scans when
-  // other queries are walking the same partition concurrently.
+  // stream through tight loops over dictionary codes.
   auto select_rows = [&](size_t t) {
     Selection& sel = selections[t];
     const Partition& p = *sel.partition;
@@ -218,18 +206,8 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
           SelectRowsGather(p, input, *candidates, &sel.rows);
     } else {
       counters.rows_scanned += p.num_rows();
-      if (p.kind() == PartitionKind::kDelta &&
-          p.num_rows() >= SharedScanManager::kMinRows &&
-          SharedScanManager::Enabled()) {
-        SharedScanManager::Result shared =
-            SharedScanManager::Instance().Scan(p, input, &sel.rows);
-        counters.selection_batches += shared.batches;
-        counters.shared_scan_leads += shared.led ? 1 : 0;
-        counters.shared_scan_attaches += shared.attached ? 1 : 0;
-      } else {
-        counters.selection_batches += SelectRowsRange(
-            p, input, 0, static_cast<uint32_t>(p.num_rows()), &sel.rows);
-      }
+      counters.selection_batches += SelectRowsRange(
+          p, input, 0, static_cast<uint32_t>(p.num_rows()), &sel.rows);
     }
     counters.rows_selected += sel.rows.size();
   };
@@ -473,14 +451,14 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
 }
 
 StatusOr<AggregateResult> Executor::ExecuteUncached(
-    const AggregateQuery& query, Snapshot snapshot) const {
+    const AggregateQuery& query, Snapshot snapshot,
+    ExecutorStats* stats) const {
   ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(*db_, query));
-  return ExecuteUncachedBound(bound, snapshot);
+  return ExecuteUncachedBound(bound, snapshot, stats);
 }
 
 StatusOr<AggregateResult> Executor::ExecuteUncachedBound(
-    const BoundQuery& bound, Snapshot snapshot,
-    uint64_t* subjoins_executed) const {
+    const BoundQuery& bound, Snapshot snapshot, ExecutorStats* stats) const {
   std::vector<SubjoinCombination> combos =
       EnumerateAllCombinations(bound.tables);
   // Uncached unions execute every combination; the trace events (with tid
@@ -506,17 +484,9 @@ StatusOr<AggregateResult> Executor::ExecuteUncachedBound(
       task_status[i] = partial.status();
     }
   });
-  // Merge the per-task counters all-or-none before inspecting task status:
-  // every task already flushed into the global metrics registry from its
-  // worker, so skipping later tasks on a mid-fanout failure would leave the
-  // shared stats short of the registry and break reconciliation under fault
-  // injection.
   Status first_error;
   for (size_t i = 0; i < combos.size(); ++i) {
-    stats_.MergeFrom(task_stats[i]);
-    if (subjoins_executed != nullptr) {
-      *subjoins_executed += task_stats[i].subjoins_executed;
-    }
+    if (stats != nullptr) stats->MergeFrom(task_stats[i]);
     if (first_error.ok() && !task_status[i].ok()) first_error = task_status[i];
   }
   RETURN_IF_ERROR(first_error);

@@ -1,4 +1,4 @@
-// Tests for the structured benchmark report (src/obs/bench_report.h):
+// Tests for the structured benchmark report (bench/bench_report.h):
 // nearest-rank latency summaries, the BENCH_*.json schema (golden —
 // tools/bench_diff and CI parse these files), and the BenchContext flag
 // grammar shared by every bench binary.
@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "obs/bench_report.h"
+#include "bench/bench_report.h"
 #include "obs/engine_metrics.h"
 #include "obs/metrics_registry.h"
 

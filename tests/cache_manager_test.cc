@@ -1,5 +1,6 @@
 #include "cache/aggregate_cache_manager.h"
 
+#include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -122,6 +123,51 @@ TEST_F(CacheManagerTest, SingleTableMainCompensationIsIncremental) {
   EXPECT_FALSE(stats_.entry_rebuilt);
   EXPECT_GT(stats_.main_comp_ms, 0.0);
   ExpectAllStrategiesAgree(&db_, cache_.get(), single);
+}
+
+TEST_F(CacheManagerTest, FilteredSingleTableEntryCorrectedAtEveryPoolSize) {
+  // Main items on both sides of the filter: the fixture's 10.0 items pass,
+  // one 5.0 item per header (ids 21..30, header h gets id 20 + h) fails.
+  for (int64_t h = 1; h <= 10; ++h) {
+    Transaction txn = db_.Begin();
+    ASSERT_OK(item_->Insert(txn, {Value(int64_t{20 + h}), Value(h), Value(5.0)}));
+  }
+  ASSERT_OK(db_.MergeTables({"Item"}));
+  next_item_id_ = 31;
+  AggregateQuery single = QueryBuilder()
+                              .From("Item")
+                              .Filter("Item", "Amount", CompareOp::kGt,
+                                      Value(7.0))
+                              .GroupBy("Item", "HeaderID")
+                              .Sum("Item", "Amount", "total")
+                              .CountStar("n")
+                              .Build();
+  Transaction warm = db_.Begin();
+  ASSERT_TRUE(Execute(*cache_, single, warm).ok());
+
+  for (int64_t round : {0, 1}) {
+    ThreadPool::SetGlobalParallelism(round == 0 ? 1 : 4);
+    Transaction txn = db_.Begin();
+    // Passing -> failing, failing -> passing, and one delete on each side.
+    ASSERT_OK(item_->UpdateColumnByPk(txn, Value(int64_t{1 + 4 * round}),
+                                      "Amount", Value(4.0)));
+    ASSERT_OK(item_->UpdateColumnByPk(txn, Value(int64_t{21 + round}),
+                                      "Amount", Value(12.0)));
+    ASSERT_OK(item_->DeleteByPk(txn, Value(int64_t{3 + 4 * round})));
+    ASSERT_OK(item_->DeleteByPk(txn, Value(int64_t{23 + round})));
+    // Fresh delta rows on both sides of the filter.
+    ASSERT_OK(item_->Insert(
+        txn, {Value(next_item_id_++), Value(int64_t{2}), Value(8.0)}));
+    ASSERT_OK(item_->Insert(
+        txn, {Value(next_item_id_++), Value(int64_t{2}), Value(6.0)}));
+
+    Transaction query_txn = db_.Begin();
+    ASSERT_TRUE(Execute(*cache_, single, query_txn).ok());
+    EXPECT_FALSE(stats_.entry_rebuilt) << "round " << round;
+    EXPECT_GT(stats_.main_comp_ms, 0.0) << "round " << round;
+    ExpectAllStrategiesAgree(&db_, cache_.get(), single);
+  }
+  ThreadPool::SetGlobalParallelism(1);
 }
 
 TEST_F(CacheManagerTest, JoinEntryCompensatedIncrementallyByDefault) {

@@ -87,53 +87,6 @@ TEST_F(CompensationTest, PushdownDoesNotChangeDeltaCompensation) {
   EXPECT_TRUE(plain->ApproxEquals(*pushed, 1e-9, &diff)) << diff;
 }
 
-TEST_F(CompensationTest, RowsContributionMatchesFilters) {
-  AggregateQuery query = QueryBuilder()
-                             .From("Item")
-                             .Filter("Item", "Amount", CompareOp::kGt,
-                                     Value(7.0))
-                             .GroupBy("Item", "HeaderID")
-                             .Sum("Item", "Amount", "s")
-                             .CountStar("n")
-                             .Build();
-  auto bound = BoundQuery::Bind(db_, query);
-  ASSERT_TRUE(bound.ok());
-
-  // Contribution of the first three main rows (amount 10.0, passing the
-  // filter).
-  std::vector<uint32_t> rows = {0, 1, 2};
-  auto contribution = ComputeRowsContribution(*bound, 0, rows);
-  ASSERT_TRUE(contribution.ok());
-  int64_t total = 0;
-  for (const auto& [key, entry] : contribution->groups()) {
-    total += entry.count_star;
-  }
-  EXPECT_EQ(total, 3);
-
-  // With a filter nothing passes (amounts in delta are 5.0 <= 7.0): rows
-  // from the delta would not contribute, but here we check main rows only.
-  AggregateQuery strict = QueryBuilder()
-                              .From("Item")
-                              .Filter("Item", "Amount", CompareOp::kGt,
-                                      Value(100.0))
-                              .GroupBy("Item", "HeaderID")
-                              .Sum("Item", "Amount", "s")
-                              .Build();
-  auto strict_bound = BoundQuery::Bind(db_, strict);
-  ASSERT_TRUE(strict_bound.ok());
-  auto empty = ComputeRowsContribution(*strict_bound, 0, rows);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-}
-
-TEST_F(CompensationTest, RowsContributionRejectsJoins) {
-  AggregateQuery query = testing_util::HeaderItemQuery();
-  auto bound = BoundQuery::Bind(db_, query);
-  ASSERT_TRUE(bound.ok());
-  std::vector<uint32_t> rows = {0};
-  EXPECT_FALSE(ComputeRowsContribution(*bound, 0, rows).ok());
-}
-
 TEST_F(CompensationTest, RestrictedSubjoinSeesOnlyGivenRows) {
   AggregateQuery query = testing_util::HeaderItemQuery();
   auto bound = BoundQuery::Bind(db_, query);

@@ -240,11 +240,10 @@ TEST_F(ExecutorTest, FilterOpsAgreeAcrossMainAndDelta) {
 
 TEST_F(ExecutorTest, StatsCountWork) {
   Executor executor(&db_);
-  executor.stats().Reset();
-  auto result =
-      executor.ExecuteUncached(testing_util::HeaderItemQuery(), Now());
+  ExecutorStats snapshot;
+  auto result = executor.ExecuteUncached(testing_util::HeaderItemQuery(),
+                                         Now(), &snapshot);
   ASSERT_TRUE(result.ok());
-  ExecutorStats snapshot = executor.stats().Snapshot();
   EXPECT_EQ(snapshot.subjoins_executed, 4u);
   EXPECT_GT(snapshot.rows_scanned, 0u);
   EXPECT_EQ(snapshot.tuples_joined, 12u);  // All items join.

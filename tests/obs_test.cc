@@ -293,8 +293,6 @@ TEST(EngineMetricsTest, SchemaGolden) {
       "# TYPE aggcache_recovery_replayed_records_total counter",
       "# TYPE aggcache_recovery_warm_admissions_total counter",
       "# TYPE aggcache_remote_cancellations_total counter",
-      "# TYPE aggcache_sharedscan_attaches_total counter",
-      "# TYPE aggcache_sharedscan_leads_total counter",
       "# TYPE aggcache_slow_queries_total counter",
       "# TYPE aggcache_wal_appends_total counter",
       "# TYPE aggcache_wal_bytes_total counter",

@@ -153,9 +153,9 @@ TEST_F(ParallelExecutionTest, HotColdSplitRebuildsUnderParallelPool) {
 }
 
 TEST_F(ParallelExecutionTest, ConcurrentExecutorsProduceIdenticalResults) {
-  // Top-level concurrency: four threads, each with its own Executor (an
-  // instance's shared counters are not synchronized), all fanning subjoins
-  // into the same global pool against one immutable snapshot.
+  // Top-level concurrency: four threads, each with its own Executor, all
+  // fanning subjoins into the same global pool against one immutable
+  // snapshot.
   ThreadPool::SetGlobalParallelism(4);
   Snapshot snapshot = db_.Begin().snapshot();
   Executor reference_exec(&db_);
@@ -180,6 +180,61 @@ TEST_F(ParallelExecutionTest, ConcurrentExecutorsProduceIdenticalResults) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST_F(ParallelExecutionTest, ConcurrentDeltaScansMatchSoloResultAndStats) {
+  // Concurrent calls on one shared Executor, each scanning a Header delta
+  // of several 1024-row selection blocks: every call must return the solo
+  // answer and count, in its own ExecutorStats, exactly the solo work.
+  ThreadPool::SetGlobalParallelism(4);
+  Transaction txn = db_.Begin();
+  for (int64_t h = 1001; h <= 7000; ++h) {
+    ASSERT_OK(header_->Insert(txn, {Value(h), Value(2010 + h % 5)}));
+  }
+  ASSERT_GE(header_->group(0).delta.num_rows(), 6000u);
+  Snapshot snapshot = db_.Begin().snapshot();
+  const std::vector<AggregateQuery> queries = {
+      QueryBuilder()
+          .From("Header")
+          .Filter("Header", "FiscalYear", CompareOp::kGe,
+                  Value(int64_t{2012}))
+          .GroupBy("Header", "FiscalYear")
+          .CountStar("n")
+          .Build(),
+      query_,
+  };
+
+  Executor executor(&db_);
+  std::vector<AggregateResult> solo_results;
+  std::vector<ExecutorStats> solo_stats(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto solo = executor.ExecuteUncached(queries[q], snapshot, &solo_stats[q]);
+    ASSERT_TRUE(solo.ok()) << solo.status();
+    solo_results.push_back(std::move(solo).value());
+  }
+  ASSERT_GE(solo_stats[0].rows_scanned, 6000u);
+
+  constexpr int kThreads = 6;
+  constexpr int kRepsPerThread = 8;
+  std::atomic<int> result_mismatches{0};
+  std::atomic<int> stats_mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRepsPerThread; ++r) {
+        size_t q = static_cast<size_t>(t + r) % queries.size();
+        ExecutorStats stats;
+        auto result = executor.ExecuteUncached(queries[q], snapshot, &stats);
+        if (!result.ok() || !result->ApproxEquals(solo_results[q], 0.0)) {
+          result_mismatches.fetch_add(1);
+        }
+        if (!(stats == solo_stats[q])) stats_mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(result_mismatches.load(), 0);
+  EXPECT_EQ(stats_mismatches.load(), 0);
 }
 
 }  // namespace

@@ -116,18 +116,20 @@ TEST_F(PredicatePushdownTest, PushdownReducesScannedRows) {
   // pushdown bounds Item_main's hash-build input by the delta tid range.
   SubjoinCombination delta_main = {{0, PartitionKind::kDelta},
                                    {0, PartitionKind::kMain}};
-  Executor plain_exec(&db_);
-  auto plain = plain_exec.ExecuteSubjoin(bound, delta_main, now);
+  Executor executor(&db_);
+  ExecutorStats plain_stats;
+  auto plain = executor.ExecuteSubjoin(bound, delta_main, now, {},
+                                       /*restriction=*/nullptr, &plain_stats);
   ASSERT_TRUE(plain.ok());
-  uint64_t selected_plain = plain_exec.stats().Snapshot().rows_selected;
 
-  Executor pushed_exec(&db_);
+  ExecutorStats pushed_stats;
   std::vector<FilterPredicate> filters =
       DerivePushdownFilters(bound, mds, delta_main);
-  auto pushed = pushed_exec.ExecuteSubjoin(bound, delta_main, now, filters);
+  auto pushed = executor.ExecuteSubjoin(bound, delta_main, now, filters,
+                                        /*restriction=*/nullptr,
+                                        &pushed_stats);
   ASSERT_TRUE(pushed.ok());
-  uint64_t selected_pushed = pushed_exec.stats().Snapshot().rows_selected;
-  EXPECT_LT(selected_pushed, selected_plain);
+  EXPECT_LT(pushed_stats.rows_selected, plain_stats.rows_selected);
 }
 
 }  // namespace

@@ -49,10 +49,6 @@ TEST(SpanRecorderTest, KindNamesAreStable) {
                "delta_compensation");
   EXPECT_STREQ(SpanKindToString(SpanKind::kUncachedExec), "uncached_exec");
   EXPECT_STREQ(SpanKindToString(SpanKind::kSubjoinTask), "subjoin_task");
-  EXPECT_STREQ(SpanKindToString(SpanKind::kSharedScanLead),
-               "sharedscan_lead");
-  EXPECT_STREQ(SpanKindToString(SpanKind::kSharedScanAttach),
-               "sharedscan_attach");
   EXPECT_STREQ(SpanKindToString(SpanKind::kMerge), "merge");
   EXPECT_STREQ(SpanKindToString(SpanKind::kCheckpoint), "checkpoint");
   EXPECT_STREQ(SpanKindToString(SpanKind::kWalSync), "wal_sync");

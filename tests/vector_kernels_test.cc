@@ -513,10 +513,11 @@ TEST(VectorExecutorTest, BatchedPipelineCountersAdvance) {
                                    &next_item));
   }
   Executor executor(&db);
-  auto result = executor.ExecuteUncached(
-      testing_util::HeaderItemQuery(), db.txn_manager().GlobalSnapshot());
+  ExecutorStats stats;
+  auto result = executor.ExecuteUncached(testing_util::HeaderItemQuery(),
+                                         db.txn_manager().GlobalSnapshot(),
+                                         &stats);
   ASSERT_TRUE(result.ok()) << result.status();
-  ExecutorStats stats = executor.stats().Snapshot();
   EXPECT_GT(stats.selection_batches, 0u);
   EXPECT_GT(stats.code_joins, 0u);
   EXPECT_GT(stats.packed_groupings, 0u);

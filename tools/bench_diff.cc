@@ -1,5 +1,5 @@
 // bench_diff — schema validator and perf-regression checker for the
-// BENCH_*.json files emitted by the benchmark harness (obs/bench_report.h).
+// BENCH_*.json files emitted by the benchmark harness (bench/bench_report.h).
 //
 // Two modes:
 //
