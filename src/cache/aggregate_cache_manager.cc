@@ -11,14 +11,12 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "obs/active_queries.h"
 #include "obs/engine_metrics.h"
 #include "obs/flight_recorder.h"
 #include "obs/perf_counters.h"
 #include "obs/slow_log.h"
 #include "obs/span.h"
-#include "obs/trace_recorder.h"
 #include "runtime/admission_controller.h"
 #include "runtime/memory_tracker.h"
 #include "runtime/query_context.h"
@@ -354,64 +352,36 @@ Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
   Phase build(SpanKind::kEntryBuild);
   entry.main_partials().clear();
   // Cross-temperature all-main combos can be pruned logically at build time
-  // (Section 5.4); tid-range pruning is sound here as well. Prune decisions
-  // stay on the calling thread; the surviving subjoins fan out.
+  // (Section 5.4); tid-range pruning is sound here as well. Pruned
+  // combinations keep empty partials.
   JoinPruner pruner(db_, PruneLevel::kFull);
-  std::vector<MdBinding> mds = ResolveMds(bound);
   std::vector<SubjoinCombination> combos =
       EnumerateAllMainCombinations(bound.tables);
-  std::vector<char> pruned(combos.size(), 0);
-  for (size_t i = 0; i < combos.size(); ++i) {
-    PruneDecision decision = pruner.ShouldPrune(bound, mds, combos[i]);
-    pruned[i] = decision.pruned ? 1 : 0;
-    RecordSubjoin(bound, mds, combos[i], "build", decision, {});
+  std::vector<SubjoinTask> tasks = PlanSubjoins(
+      bound, ResolveMds(bound), combos, &pruner, /*use_pushdown=*/false,
+      "build");
+  ExecutorStats exec_stats;
+  ASSIGN_OR_RETURN(std::vector<AggregateResult> partials,
+                   executor_.ExecuteSubjoins(bound, tasks, snapshot, "build",
+                                             /*fault_point=*/nullptr,
+                                             &exec_stats));
+  for (SubjoinCombination& combo : combos) {
+    entry.main_partials().emplace(std::move(combo),
+                                  AggregateResult(bound.aggregates.size()));
   }
-  std::vector<AggregateResult> partials(combos.size());
-  std::vector<ExecutorStats> task_stats(combos.size());
-  std::vector<Status> task_status(combos.size());
-  // Re-install the building query's governance context on the pool workers,
-  // plus the span parent so build subjoins land under the build span.
-  QueryContext* ctx = QueryContext::Current();
-  SpanLink span_parent = CurrentSpanLink();
-  ParallelFor(combos.size(), [&](size_t i) {
-    ScopedQueryContext scope(ctx);
-    if (pruned[i]) {
-      partials[i] = AggregateResult(bound.aggregates.size());
-      return;
-    }
-    ScopedSpan task_span(SpanKind::kSubjoinTask, span_parent, "build");
-    auto partial =
-        executor_.ExecuteSubjoin(bound, combos[i], snapshot,
-                                 /*extra_filters=*/{},
-                                 /*restriction=*/nullptr, &task_stats[i]);
-    if (partial.ok()) {
-      partials[i] = std::move(partial).value();
-    } else {
-      task_status[i] = partial.status();
-    }
-  });
-  uint64_t rows_aggregated = 0;
-  uint64_t subjoins_executed = 0;
-  Status first_error;
-  for (size_t i = 0; i < combos.size(); ++i) {
-    rows_aggregated += task_stats[i].rows_scanned;
-    subjoins_executed += task_stats[i].subjoins_executed;
-    if (first_error.ok() && !task_status[i].ok()) first_error = task_status[i];
-  }
-  RETURN_IF_ERROR(first_error);
-  for (size_t i = 0; i < combos.size(); ++i) {
-    entry.main_partials()[std::move(combos[i])] = std::move(partials[i]);
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    entry.main_partials()[tasks[i].combination] = std::move(partials[i]);
   }
   RefreshSnapshots(entry, bound, snapshot);
   RefreshEntrySize(entry);
   build.End();
   entry.metrics().main_exec_ms = build.elapsed_ms();
-  entry.metrics().main_rows_aggregated = rows_aggregated;
+  entry.metrics().main_rows_aggregated = exec_stats.rows_scanned;
   CacheEntryMetrics::Ewma(entry.metrics().ewma_rebuild_ms, build.elapsed_ms());
   entry.ClearRebuildMark();
   EngineMetrics::Get().cache_build_us->Observe(build.elapsed_us());
   if (stats != nullptr) {
-    stats->subjoins_executed += subjoins_executed;
+    stats->subjoins_executed += exec_stats.subjoins_executed;
     stats->main_exec_ms = build.elapsed_ms();
   }
   return Status::Ok();
@@ -621,83 +591,49 @@ Status AggregateCacheManager::IncrementalMainCompensate(
   // rest to rows visible now. All corrections are subtracted (no
   // alternating signs: prod(C+N) expands into a plain sum over subsets).
   // The 2^d - 1 joins per combo are independent, so every (combo, mask)
-  // pair fans out across the pool; corrections merge back per combo in
-  // mask order for determinism.
-  struct CorrectionJob {
-    size_t combo_index = 0;
-    const SubjoinCombination* combo = nullptr;
-    Executor::RowRestriction restriction;
-  };
+  // pair is one task; corrections merge back per combo in mask order for
+  // determinism. Correction joins are part of the answer an EXPLAIN-ing
+  // caller sees: each is recorded (no MD bindings — restrictions, not tid
+  // ranges, select the rows here).
   std::vector<AggregateResult*> dirty_partials;
-  std::vector<CorrectionJob> jobs;
+  std::vector<SubjoinTask> tasks;
+  std::vector<size_t> task_partial;
   for (auto& [combo, partial] : entry.main_partials()) {
     std::vector<size_t> dirty_tables;
     for (size_t t = 0; t < num_tables; ++t) {
       if (!negative[t][combo[t].group].empty()) dirty_tables.push_back(t);
     }
     if (dirty_tables.empty()) continue;
-    size_t combo_index = dirty_partials.size();
     dirty_partials.push_back(&partial);
     for (uint32_t mask = 1; mask < (1u << dirty_tables.size()); ++mask) {
-      CorrectionJob job;
-      job.combo_index = combo_index;
-      job.combo = &combo;
-      job.restriction.rows.resize(num_tables);
-      job.restriction.bypass_visibility_for_restricted = true;
+      SubjoinTask task{combo, {}, {}};
+      task.restriction.rows.resize(num_tables);
       for (size_t i = 0; i < dirty_tables.size(); ++i) {
         if (mask & (1u << i)) {
           size_t t = dirty_tables[i];
-          job.restriction.rows[t] = negative[t][combo[t].group];
+          task.restriction.rows[t] = negative[t][combo[t].group];
         }
       }
-      jobs.push_back(std::move(job));
+      RecordSubjoin(bound, {}, combo, "main-correction", PruneDecision{}, {});
+      tasks.push_back(std::move(task));
+      task_partial.push_back(dirty_partials.size() - 1);
     }
   }
 
-  // Correction joins are part of the answer an EXPLAIN-ing caller sees:
-  // record them (no MD bindings — restrictions, not tid ranges, select the
-  // rows here).
-  if (TraceContext::Current() != nullptr) {
-    for (const CorrectionJob& job : jobs) {
-      RecordSubjoin(bound, {}, *job.combo, "main-correction", PruneDecision{},
-                    {});
-    }
+  ExecutorStats exec_stats;
+  auto terms = executor_.ExecuteSubjoins(bound, tasks, snapshot, "correction",
+                                         /*fault_point=*/nullptr, &exec_stats);
+  if (stats != nullptr) {
+    stats->subjoins_executed += exec_stats.subjoins_executed;
   }
+  RETURN_IF_ERROR(terms.status());
 
-  std::vector<AggregateResult> terms(jobs.size());
-  std::vector<ExecutorStats> task_stats(jobs.size());
-  std::vector<Status> task_status(jobs.size());
-  QueryContext* ctx = QueryContext::Current();
-  SpanLink span_parent = CurrentSpanLink();
-  ParallelFor(jobs.size(), [&](size_t j) {
-    ScopedQueryContext scope(ctx);
-    ScopedSpan task_span(SpanKind::kSubjoinTask, span_parent, "correction");
-    auto term =
-        executor_.ExecuteSubjoin(bound, *jobs[j].combo, snapshot,
-                                 /*extra_filters=*/{}, &jobs[j].restriction,
-                                 &task_stats[j]);
-    if (term.ok()) {
-      terms[j] = std::move(term).value();
-    } else {
-      task_status[j] = term.status();
-    }
-  });
-
-  Status first_error;
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    if (stats != nullptr) {
-      stats->subjoins_executed += task_stats[j].subjoins_executed;
-    }
-    if (first_error.ok() && !task_status[j].ok()) first_error = task_status[j];
-  }
-  RETURN_IF_ERROR(first_error);
-
-  // Jobs were emitted combo-major in mask order; replay that order exactly.
+  // Tasks were emitted combo-major in mask order; replay that order exactly.
   size_t j = 0;
   for (size_t c = 0; c < dirty_partials.size(); ++c) {
     AggregateResult corrections(bound.aggregates.size());
-    for (; j < jobs.size() && jobs[j].combo_index == c; ++j) {
-      corrections.MergeFrom(terms[j]);
+    for (; j < tasks.size() && task_partial[j] == c; ++j) {
+      corrections.MergeFrom((*terms)[j]);
     }
     RETURN_IF_ERROR(dirty_partials[c]->SubtractFrom(corrections));
   }
@@ -846,10 +782,23 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
     if (trace != nullptr) trace->cache_outcome = outcome;
     lookup.reset();
     Phase exec(SpanKind::kUncachedExec);
+    // Every combination runs; the MDs only supply the trace's tid ranges,
+    // so an untraced read does not resolve them.
+    std::vector<MdBinding> mds;
+    if (trace != nullptr) mds = ResolveMds(bound);
+    std::vector<SubjoinTask> tasks =
+        PlanSubjoins(bound, mds, EnumerateAllCombinations(bound.tables),
+                     /*pruner=*/nullptr, /*use_pushdown=*/false, "uncached");
     ExecutorStats exec_stats;
-    auto result = executor_.ExecuteUncachedBound(bound, snapshot, &exec_stats);
+    auto partials = executor_.ExecuteSubjoins(
+        bound, tasks, snapshot, "uncached", /*fault_point=*/nullptr,
+        &exec_stats);
     stats->subjoins_executed += exec_stats.subjoins_executed;
-    return result;
+    RETURN_IF_ERROR(partials.status());
+    AggregateResult result(bound.aggregates.size());
+    for (const AggregateResult& partial : *partials) result.MergeFrom(partial);
+    // HAVING applies to whole groups, so only after every subjoin is merged.
+    return query.ApplyHaving(std::move(result));
   };
 
   if (options.strategy == ExecutionStrategy::kUncached ||
@@ -925,7 +874,7 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   Phase delta(SpanKind::kDeltaCompensation);
   JoinPruner pruner(db_, PruneLevelFor(options.strategy));
   std::vector<MdBinding> mds = ResolveMds(bound);
-  CompensationStats comp_stats;
+  ExecutorStats comp_stats;
   ASSIGN_OR_RETURN(AggregateResult delta_result,
                    DeltaCompensate(executor_, bound, mds, pruner,
                                    options.use_predicate_pushdown, snapshot,
@@ -983,7 +932,7 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   }
 
   stats->delta_comp_ms = delta_ms;
-  stats->subjoins_pruned = comp_stats.subjoins_pruned;
+  stats->subjoins_pruned = pruner.stats().total_pruned();
   stats->subjoins_executed += comp_stats.subjoins_executed;
   prune_acc->considered += pruner.stats().considered;
   prune_acc->pruned_empty += pruner.stats().pruned_empty;
@@ -1313,31 +1262,31 @@ void AggregateCacheManager::OnBeforeMerge(Table& table, size_t group_index,
 
     // Fold the merging delta into every cached partial whose combination
     // will absorb it: partial(C) += result(C with this table's main
-    // replaced by its delta), computed while the delta still exists.
-    JoinPruner pruner(db_, PruneLevel::kFull);
-    std::vector<MdBinding> mds = ResolveMds(bound);
-    bool fold_failed = false;
-    for (auto& [combo, partial] : entry->main_partials()) {
+    // replaced by its delta), computed while the delta still exists. Every
+    // fold runs before any partial changes, so a failed fold leaves the
+    // partials as they were (and the entry marked for rebuild).
+    std::vector<SubjoinCombination> delta_combos;
+    for (const auto& [combo, partial] : entry->main_partials()) {
       if (combo[table_pos].group != group_index) continue;
-      SubjoinCombination delta_combo = combo;
-      delta_combo[table_pos].kind = PartitionKind::kDelta;
-      if (pruner.ShouldPrune(bound, mds, delta_combo).pruned) continue;
-      Status fold_fault = FaultInjector::Global().MaybeFail("maintenance.fold");
-      if (!fold_fault.ok()) {
-        RecordMaintenanceFailure(*entry, fold_fault);
-        fold_failed = true;
-        break;
-      }
-      auto partial_or =
-          executor_.ExecuteSubjoin(bound, delta_combo, snapshot);
-      if (!partial_or.ok()) {
-        RecordMaintenanceFailure(*entry, partial_or.status());
-        fold_failed = true;
-        break;
-      }
-      partial.MergeFrom(partial_or.value());
+      delta_combos.push_back(combo);
+      delta_combos.back()[table_pos].kind = PartitionKind::kDelta;
     }
-    if (fold_failed) continue;
+    JoinPruner pruner(db_, PruneLevel::kFull);
+    std::vector<SubjoinTask> tasks =
+        PlanSubjoins(bound, ResolveMds(bound), std::move(delta_combos),
+                     &pruner, /*use_pushdown=*/false, "fold");
+    auto folds = executor_.ExecuteSubjoins(bound, tasks, snapshot, "fold",
+                                           "maintenance.fold",
+                                           /*stats=*/nullptr);
+    if (!folds.ok()) {
+      RecordMaintenanceFailure(*entry, folds.status());
+      continue;
+    }
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      SubjoinCombination& combo = tasks[i].combination;
+      combo[table_pos].kind = PartitionKind::kMain;
+      entry->main_partials().at(combo).MergeFrom((*folds)[i]);
+    }
     RefreshEntrySize(*entry);
     CacheEntryMetrics::Add(entry->metrics().maintenance_ms,
                            watch.ElapsedMillis());

@@ -1,97 +1,141 @@
 #include "cache/compensation.h"
 
-#include "common/thread_pool.h"
+#include <string>
+#include <utility>
+
+#include "common/string_util.h"
 #include "objectaware/predicate_pushdown.h"
 #include "obs/engine_metrics.h"
-#include "obs/span.h"
-#include "obs/trace_recorder.h"
-#include "runtime/query_context.h"
-#include "verify/fault_injector.h"
+#include "obs/query_trace.h"
+#include "storage/dictionary.h"
 
 namespace aggcache {
+
+namespace {
+
+/// "Item[g0/delta].tid_Header" — table, the partition the combination
+/// picked for it, and the tid column the MD binds.
+std::string TidColumnLabel(const BoundQuery& bound,
+                           const SubjoinCombination& combination,
+                           size_t table_index, size_t column_index) {
+  const Table& table = *bound.tables[table_index];
+  const PartitionRef& ref = combination[table_index];
+  return StrFormat("%s[g%u/%s].%s", table.name().c_str(), ref.group,
+                   PartitionKindToString(ref.kind),
+                   table.schema().columns[column_index].name.c_str());
+}
+
+SubjoinTrace::TidRange MakeTidRange(const BoundQuery& bound,
+                                    const SubjoinCombination& combination,
+                                    size_t table_index, size_t column_index) {
+  SubjoinTrace::TidRange range;
+  range.column =
+      TidColumnLabel(bound, combination, table_index, column_index);
+  const Partition& partition =
+      ResolvePartition(*bound.tables[table_index], combination[table_index]);
+  if (partition.empty()) {
+    range.empty = true;
+    return range;
+  }
+  const Dictionary& dict = partition.column(column_index).dictionary();
+  range.min = dict.min_value().AsInt64();
+  range.max = dict.max_value().AsInt64();
+  return range;
+}
+
+SubjoinTrace MakeSubjoinTrace(
+    const BoundQuery& bound, const std::vector<MdBinding>& mds,
+    const SubjoinCombination& combination, const char* phase,
+    const PruneDecision& decision,
+    const std::vector<FilterPredicate>& pushdown_filters) {
+  SubjoinTrace trace;
+  trace.phase = phase;
+  trace.combination = CombinationToString(combination);
+  if (decision.pruned) {
+    trace.verdict = SubjoinTrace::Verdict::kPruned;
+    trace.prune_reason = decision.reason;
+  } else if (!pushdown_filters.empty()) {
+    trace.verdict = SubjoinTrace::Verdict::kPushdown;
+  } else {
+    trace.verdict = SubjoinTrace::Verdict::kExecuted;
+  }
+  trace.tid_ranges.reserve(mds.size() * 2);
+  for (const MdBinding& md : mds) {
+    trace.tid_ranges.push_back(
+        MakeTidRange(bound, combination, md.left_table, md.left_tid_column));
+    trace.tid_ranges.push_back(
+        MakeTidRange(bound, combination, md.right_table, md.right_tid_column));
+  }
+  trace.pushdown_filters.reserve(pushdown_filters.size());
+  for (const FilterPredicate& filter : pushdown_filters) {
+    trace.pushdown_filters.push_back(
+        bound.tables[filter.table_index]->name() + "." + filter.ToString());
+  }
+  return trace;
+}
+
+}  // namespace
+
+void RecordSubjoin(const BoundQuery& bound, const std::vector<MdBinding>& mds,
+                   const SubjoinCombination& combination, const char* phase,
+                   const PruneDecision& decision,
+                   const std::vector<FilterPredicate>& pushdown_filters) {
+  QueryTrace* trace = TraceContext::Current();
+  if (trace == nullptr) return;
+  trace->subjoins.push_back(MakeSubjoinTrace(bound, mds, combination, phase,
+                                             decision, pushdown_filters));
+}
+
+std::vector<SubjoinTask> PlanSubjoins(const BoundQuery& bound,
+                                      const std::vector<MdBinding>& mds,
+                                      std::vector<SubjoinCombination> combos,
+                                      JoinPruner* pruner, bool use_pushdown,
+                                      const char* phase) {
+  // Runs on the calling thread: decisions are cheap, and JoinPruner
+  // accumulates stats that must stay race-free.
+  std::vector<SubjoinTask> tasks;
+  for (SubjoinCombination& combo : combos) {
+    PruneDecision decision;
+    if (pruner != nullptr) decision = pruner->ShouldPrune(bound, mds, combo);
+    if (decision.pruned) {
+      RecordSubjoin(bound, mds, combo, phase, decision, {});
+      continue;
+    }
+    SubjoinTask task{std::move(combo), {}, {}};
+    if (use_pushdown) {
+      task.extra_filters = DerivePushdownFilters(bound, mds, task.combination);
+      if (!task.extra_filters.empty()) {
+        EngineMetrics::Get().pushdown_predicates->Increment(
+            task.extra_filters.size());
+      }
+    }
+    RecordSubjoin(bound, mds, task.combination, phase, decision,
+                  task.extra_filters);
+    tasks.push_back(std::move(task));
+  }
+  return tasks;
+}
 
 StatusOr<AggregateResult> DeltaCompensate(const Executor& executor,
                                           const BoundQuery& bound,
                                           const std::vector<MdBinding>& mds,
                                           JoinPruner& pruner,
                                           bool use_pushdown, Snapshot snapshot,
-                                          CompensationStats* stats) {
-  // Prune decisions (and pushdown derivation) stay on the calling thread:
-  // they are cheap, and JoinPruner accumulates stats that must stay
-  // race-free. Only the surviving subjoins fan out.
-  struct Subjoin {
-    SubjoinCombination combo;
-    std::vector<FilterPredicate> extra;
-  };
-  std::vector<Subjoin> subjoins;
-  for (SubjoinCombination& combo :
-       EnumerateCompensationCombinations(bound.tables)) {
-    if (stats != nullptr) ++stats->subjoins_considered;
-    PruneDecision decision = pruner.ShouldPrune(bound, mds, combo);
-    if (decision.pruned) {
-      if (stats != nullptr) ++stats->subjoins_pruned;
-      RecordSubjoin(bound, mds, combo, "delta-compensation", decision, {});
-      continue;
-    }
-    std::vector<FilterPredicate> extra;
-    if (use_pushdown) {
-      extra = DerivePushdownFilters(bound, mds, combo);
-      if (!extra.empty()) {
-        EngineMetrics::Get().pushdown_predicates->Increment(extra.size());
-      }
-    }
-    RecordSubjoin(bound, mds, combo, "delta-compensation", decision, extra);
-    subjoins.push_back(Subjoin{std::move(combo), std::move(extra)});
-  }
-
-  std::vector<AggregateResult> partials(subjoins.size());
-  std::vector<ExecutorStats> task_stats(subjoins.size());
-  std::vector<Status> task_status(subjoins.size());
-  // Re-install the calling query's governance context on the pool workers —
-  // and the span parent, so each task shows up under this compensation in
-  // the trace tree.
-  QueryContext* ctx = QueryContext::Current();
-  SpanLink span_parent = CurrentSpanLink();
-  ParallelFor(subjoins.size(), [&](size_t i) {
-    ScopedQueryContext scope(ctx);
-    ScopedSpan task_span(SpanKind::kSubjoinTask, span_parent,
-                         "delta-comp");
-    // `cache.delta_comp` lets the harnesses hold a query inside delta
-    // compensation deterministically (kDelay) so the active-query registry
-    // and remote cancellation can be exercised against a live phase.
-    Status fault = FaultInjector::Global().MaybeFail("cache.delta_comp");
-    if (!fault.ok()) {
-      task_status[i] = fault;
-      return;
-    }
-    auto partial =
-        executor.ExecuteSubjoin(bound, subjoins[i].combo, snapshot,
-                                subjoins[i].extra,
-                                /*restriction=*/nullptr, &task_stats[i]);
-    if (partial.ok()) {
-      partials[i] = std::move(partial).value();
-    } else {
-      task_status[i] = partial.status();
-    }
-    // Progress accounting for the registry: one add per completed subjoin.
-    if (ctx != nullptr) ctx->AddRowsScanned(task_stats[i].rows_scanned);
-  });
-
-  Status first_error;
-  for (size_t i = 0; i < subjoins.size(); ++i) {
-    if (stats != nullptr) {
-      ++stats->subjoins_executed;
-      stats->rows_scanned += task_stats[i].rows_scanned;
-    }
-    if (first_error.ok() && !task_status[i].ok()) first_error = task_status[i];
-  }
-  RETURN_IF_ERROR(first_error);
+                                          ExecutorStats* stats) {
+  std::vector<SubjoinTask> tasks =
+      PlanSubjoins(bound, mds, EnumerateCompensationCombinations(bound.tables),
+                   &pruner, use_pushdown, "delta-compensation");
+  // `cache.delta_comp` lets the harnesses hold a query inside delta
+  // compensation deterministically (kDelay) so the active-query registry
+  // and remote cancellation can be exercised against a live phase.
+  ASSIGN_OR_RETURN(std::vector<AggregateResult> partials,
+                   executor.ExecuteSubjoins(bound, tasks, snapshot,
+                                            "delta-comp", "cache.delta_comp",
+                                            stats));
   // Merge in enumeration order so results are deterministic at any thread
   // count (floating-point sums are order-sensitive).
   AggregateResult result(bound.aggregates.size());
-  for (size_t i = 0; i < subjoins.size(); ++i) {
-    result.MergeFrom(partials[i]);
-  }
+  for (const AggregateResult& partial : partials) result.MergeFrom(partial);
   return result;
 }
 

@@ -22,7 +22,7 @@ struct SubjoinTrace {
 
   /// Which code path emitted the event: "build" (entry materialization),
   /// "delta-compensation", "main-correction" (negative-delta correction
-  /// joins), or "uncached".
+  /// joins), "fold" (merge-time maintenance), or "uncached".
   std::string phase;
   /// CombinationToString rendering, e.g. "[g0/main, g0/delta]".
   std::string combination;

@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "query/executor.h"
 
 namespace aggcache {
 
@@ -16,113 +17,7 @@ std::string HavingPredicate::ToString() const {
 }
 
 Status AggregateQuery::Validate(const Database& db) const {
-  if (tables.empty()) return Status::InvalidArgument("query has no tables");
-  if (group_by.empty()) {
-    return Status::InvalidArgument("query has no group-by columns");
-  }
-  if (aggregates.empty()) {
-    return Status::InvalidArgument("query has no aggregates");
-  }
-
-  std::vector<const Table*> resolved;
-  for (size_t i = 0; i < tables.size(); ++i) {
-    ASSIGN_OR_RETURN(const Table* table, db.GetTable(tables[i].table_name));
-    resolved.push_back(table);
-    for (size_t j = 0; j < i; ++j) {
-      if (tables[j].table_name == tables[i].table_name) {
-        return Status::InvalidArgument(
-            "self joins are not supported: table '" + tables[i].table_name +
-            "' appears twice");
-      }
-    }
-  }
-
-  auto check_column = [&](size_t table_index, const std::string& column,
-                          size_t* out_index) -> Status {
-    if (table_index >= tables.size()) {
-      return Status::InvalidArgument("table index out of range");
-    }
-    ASSIGN_OR_RETURN(size_t col,
-                     resolved[table_index]->schema().ColumnIndex(column));
-    if (out_index != nullptr) *out_index = col;
-    return Status::Ok();
-  };
-
-  // Join graph: table i > 0 must be connected to some earlier table, and
-  // join column types must match.
-  std::vector<bool> connected(tables.size(), false);
-  connected[0] = true;
-  for (const JoinCondition& join : joins) {
-    size_t lcol = 0;
-    size_t rcol = 0;
-    RETURN_IF_ERROR(check_column(join.left_table, join.left_column, &lcol));
-    RETURN_IF_ERROR(check_column(join.right_table, join.right_column, &rcol));
-    ColumnType lt =
-        resolved[join.left_table]->schema().columns[lcol].type;
-    ColumnType rt =
-        resolved[join.right_table]->schema().columns[rcol].type;
-    if (lt != rt) {
-      return Status::InvalidArgument("join column type mismatch: " +
-                                     join.ToString());
-    }
-    if (join.left_table == join.right_table) {
-      return Status::InvalidArgument("self joins are not supported");
-    }
-  }
-  // Left-deep compatibility: every table after the first must join to an
-  // earlier table, so the executor can attach tables in query order.
-  for (size_t i = 1; i < tables.size(); ++i) {
-    bool attached = false;
-    for (const JoinCondition& join : joins) {
-      size_t lo = std::min(join.left_table, join.right_table);
-      size_t hi = std::max(join.left_table, join.right_table);
-      if (hi == i && lo < i) {
-        attached = true;
-        break;
-      }
-    }
-    if (!attached) {
-      return Status::InvalidArgument(StrFormat(
-          "table %zu ('%s') has no join condition to an earlier table", i,
-          tables[i].table_name.c_str()));
-    }
-    connected[i] = true;
-  }
-
-  for (const FilterPredicate& filter : filters) {
-    size_t col = 0;
-    RETURN_IF_ERROR(check_column(filter.table_index, filter.column, &col));
-    ColumnType ct =
-        resolved[filter.table_index]->schema().columns[col].type;
-    if (!filter.operand.MatchesType(ct)) {
-      return Status::InvalidArgument("filter operand type mismatch: " +
-                                     filter.ToString());
-    }
-  }
-  for (const GroupByRef& g : group_by) {
-    RETURN_IF_ERROR(check_column(g.table_index, g.column, nullptr));
-  }
-  for (const AggregateSpec& agg : aggregates) {
-    if (agg.fn == AggregateFunction::kCountStar) continue;
-    size_t col = 0;
-    RETURN_IF_ERROR(check_column(agg.table_index, agg.column, &col));
-    ColumnType ct = resolved[agg.table_index]->schema().columns[col].type;
-    if ((agg.fn == AggregateFunction::kSum ||
-         agg.fn == AggregateFunction::kAvg) &&
-        ct == ColumnType::kString) {
-      return Status::InvalidArgument("SUM/AVG over a string column");
-    }
-  }
-  for (const HavingPredicate& h : having) {
-    if (h.aggregate_index >= aggregates.size()) {
-      return Status::InvalidArgument(
-          "HAVING references an aggregate outside the select list");
-    }
-    if (h.operand.is_null()) {
-      return Status::InvalidArgument("HAVING operand must not be NULL");
-    }
-  }
-  return Status::Ok();
+  return BoundQuery::Bind(db, *this).status();
 }
 
 AggregateResult AggregateQuery::ApplyHaving(AggregateResult result) const {

@@ -67,7 +67,8 @@ class AggregateQuery {
   std::vector<HavingPredicate> having;
 
   /// Checks table/column existence, type compatibility of join columns, and
-  /// join-graph connectivity against the catalog.
+  /// join-graph connectivity against the catalog: BoundQuery::Bind with the
+  /// bound result dropped.
   Status Validate(const Database& db) const;
 
   /// True when every aggregate is self-maintainable, the admission

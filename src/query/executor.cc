@@ -9,48 +9,89 @@
 #include "common/thread_pool.h"
 #include "obs/engine_metrics.h"
 #include "obs/span.h"
-#include "obs/trace_recorder.h"
 #include "query/vector_kernels.h"
 #include "runtime/query_context.h"
+#include "verify/fault_injector.h"
 
 namespace aggcache {
 
 StatusOr<BoundQuery> BoundQuery::Bind(const Database& db,
                                       const AggregateQuery& query) {
-  RETURN_IF_ERROR(query.Validate(db));
+  if (query.tables.empty()) {
+    return Status::InvalidArgument("query has no tables");
+  }
+  if (query.group_by.empty()) {
+    return Status::InvalidArgument("query has no group-by columns");
+  }
+  if (query.aggregates.empty()) {
+    return Status::InvalidArgument("query has no aggregates");
+  }
   BoundQuery bound;
   bound.query = &query;
-  for (const TableRef& ref : query.tables) {
-    ASSIGN_OR_RETURN(const Table* table, db.GetTable(ref.table_name));
+  for (size_t i = 0; i < query.tables.size(); ++i) {
+    ASSIGN_OR_RETURN(const Table* table,
+                     db.GetTable(query.tables[i].table_name));
+    for (size_t j = 0; j < i; ++j) {
+      if (bound.tables[j] == table) {
+        return Status::InvalidArgument(
+            "self joins are not supported: table '" +
+            query.tables[i].table_name + "' appears twice");
+      }
+    }
     bound.tables.push_back(table);
   }
+  auto resolve = [&](size_t table_index,
+                     const std::string& column) -> StatusOr<size_t> {
+    if (table_index >= bound.tables.size()) {
+      return Status::InvalidArgument("table index out of range");
+    }
+    return bound.tables[table_index]->schema().ColumnIndex(column);
+  };
+  auto type_of = [&](size_t table_index, size_t column) {
+    return bound.tables[table_index]->schema().columns[column].type;
+  };
+
   for (const JoinCondition& join : query.joins) {
-    // Normalize so the outer table precedes the inner table in query order;
-    // the executor joins tables left-deep in that order.
     size_t lt = join.left_table;
     size_t rt = join.right_table;
-    ASSIGN_OR_RETURN(size_t lc,
-                     bound.tables[lt]->schema().ColumnIndex(join.left_column));
-    ASSIGN_OR_RETURN(
-        size_t rc, bound.tables[rt]->schema().ColumnIndex(join.right_column));
-    BoundJoin bj;
-    if (lt < rt) {
-      bj = BoundJoin{lt, lc, rt, rc};
-    } else {
-      bj = BoundJoin{rt, rc, lt, lc};
+    ASSIGN_OR_RETURN(size_t lc, resolve(lt, join.left_column));
+    ASSIGN_OR_RETURN(size_t rc, resolve(rt, join.right_column));
+    if (type_of(lt, lc) != type_of(rt, rc)) {
+      return Status::InvalidArgument("join column type mismatch: " +
+                                     join.ToString());
     }
-    bound.joins.push_back(bj);
+    if (lt == rt) {
+      return Status::InvalidArgument("self joins are not supported");
+    }
+    // Normalize so the outer table precedes the inner table in query order;
+    // the executor joins tables left-deep in that order.
+    bound.joins.push_back(lt < rt ? BoundJoin{lt, lc, rt, rc}
+                                  : BoundJoin{rt, rc, lt, lc});
+  }
+  // Left-deep compatibility: every table after the first must join to an
+  // earlier table, so the executor can attach tables in query order.
+  for (size_t i = 1; i < bound.tables.size(); ++i) {
+    bool attached = false;
+    for (const BoundJoin& join : bound.joins) {
+      if (join.inner_table == i) attached = true;
+    }
+    if (!attached) {
+      return Status::InvalidArgument(StrFormat(
+          "table %zu ('%s') has no join condition to an earlier table", i,
+          query.tables[i].table_name.c_str()));
+    }
   }
   for (const FilterPredicate& filter : query.filters) {
-    ASSIGN_OR_RETURN(size_t col, bound.tables[filter.table_index]
-                                     ->schema()
-                                     .ColumnIndex(filter.column));
+    ASSIGN_OR_RETURN(size_t col, resolve(filter.table_index, filter.column));
+    if (!filter.operand.MatchesType(type_of(filter.table_index, col))) {
+      return Status::InvalidArgument("filter operand type mismatch: " +
+                                     filter.ToString());
+    }
     bound.filters.push_back(
         BoundFilter{filter.table_index, col, filter.op, filter.operand});
   }
   for (const GroupByRef& g : query.group_by) {
-    ASSIGN_OR_RETURN(
-        size_t col, bound.tables[g.table_index]->schema().ColumnIndex(g.column));
+    ASSIGN_OR_RETURN(size_t col, resolve(g.table_index, g.column));
     bound.group_by.push_back(BoundGroupBy{g.table_index, col});
   }
   for (const AggregateSpec& agg : query.aggregates) {
@@ -59,11 +100,23 @@ StatusOr<BoundQuery> BoundQuery::Bind(const Database& db,
           BoundAggregate{agg.fn, 0, 0, /*is_count_star=*/true});
       continue;
     }
-    ASSIGN_OR_RETURN(size_t col, bound.tables[agg.table_index]
-                                     ->schema()
-                                     .ColumnIndex(agg.column));
+    ASSIGN_OR_RETURN(size_t col, resolve(agg.table_index, agg.column));
+    if ((agg.fn == AggregateFunction::kSum ||
+         agg.fn == AggregateFunction::kAvg) &&
+        type_of(agg.table_index, col) == ColumnType::kString) {
+      return Status::InvalidArgument("SUM/AVG over a string column");
+    }
     bound.aggregates.push_back(
         BoundAggregate{agg.fn, agg.table_index, col, false});
+  }
+  for (const HavingPredicate& h : query.having) {
+    if (h.aggregate_index >= query.aggregates.size()) {
+      return Status::InvalidArgument(
+          "HAVING references an aggregate outside the select list");
+    }
+    if (h.operand.is_null()) {
+      return Status::InvalidArgument("HAVING operand must not be NULL");
+    }
   }
   return bound;
 }
@@ -195,15 +248,12 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
     SelectionInput input;
     input.snapshot = &snapshot;
     input.context = ctx;
-    input.check_visibility =
-        candidates == nullptr ||
-        !restriction->bypass_visibility_for_restricted;
     input.filters = table_filters;
 
     if (candidates != nullptr) {
       counters.rows_scanned += candidates->size();
       counters.selection_batches +=
-          SelectRowsGather(p, input, *candidates, &sel.rows);
+          SelectRowsGather(input, *candidates, &sel.rows);
     } else {
       counters.rows_scanned += p.num_rows();
       counters.selection_batches += SelectRowsRange(
@@ -450,52 +500,64 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
   return result;
 }
 
-StatusOr<AggregateResult> Executor::ExecuteUncached(
-    const AggregateQuery& query, Snapshot snapshot,
+StatusOr<std::vector<AggregateResult>> Executor::ExecuteSubjoins(
+    const BoundQuery& bound, std::span<const SubjoinTask> tasks,
+    Snapshot snapshot, const char* span_detail, const char* fault_point,
     ExecutorStats* stats) const {
-  ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(*db_, query));
-  return ExecuteUncachedBound(bound, snapshot, stats);
-}
-
-StatusOr<AggregateResult> Executor::ExecuteUncachedBound(
-    const BoundQuery& bound, Snapshot snapshot, ExecutorStats* stats) const {
-  std::vector<SubjoinCombination> combos =
-      EnumerateAllCombinations(bound.tables);
-  // Uncached unions execute every combination; the trace events (with tid
-  // ranges) are recorded here on the calling thread, before the fan-out.
-  RecordUncachedSubjoins(bound, combos);
-  std::vector<AggregateResult> partials(combos.size());
-  std::vector<ExecutorStats> task_stats(combos.size());
-  std::vector<Status> task_status(combos.size());
+  std::vector<AggregateResult> partials(tasks.size());
+  if (tasks.empty()) return partials;
+  std::vector<ExecutorStats> task_stats(tasks.size());
+  std::vector<Status> task_status(tasks.size());
   // Pool workers have no thread-local context of their own; re-install the
   // caller's so budget charges and abort polls govern the whole fan-out,
   // and the caller's span so tasks land under its trace tree.
   QueryContext* ctx = QueryContext::Current();
   SpanLink span_parent = CurrentSpanLink();
-  ParallelFor(combos.size(), [&](size_t i) {
+  ParallelFor(tasks.size(), [&](size_t i) {
     ScopedQueryContext scope(ctx);
-    ScopedSpan task_span(SpanKind::kSubjoinTask, span_parent, "uncached");
+    ScopedSpan task_span(SpanKind::kSubjoinTask, span_parent, span_detail);
+    if (fault_point != nullptr) {
+      task_status[i] = FaultInjector::Global().MaybeFail(fault_point);
+      if (!task_status[i].ok()) return;
+    }
+    const SubjoinTask& task = tasks[i];
     auto partial =
-        ExecuteSubjoin(bound, combos[i], snapshot, /*extra_filters=*/{},
-                       /*restriction=*/nullptr, &task_stats[i]);
+        ExecuteSubjoin(bound, task.combination, snapshot, task.extra_filters,
+                       &task.restriction, &task_stats[i]);
     if (partial.ok()) {
       partials[i] = std::move(partial).value();
     } else {
       task_status[i] = partial.status();
     }
+    // Progress accounting for the registry: one add per completed subjoin.
+    if (ctx != nullptr) ctx->AddRowsScanned(task_stats[i].rows_scanned);
   });
   Status first_error;
-  for (size_t i = 0; i < combos.size(); ++i) {
+  for (size_t i = 0; i < tasks.size(); ++i) {
     if (stats != nullptr) stats->MergeFrom(task_stats[i]);
     if (first_error.ok() && !task_status[i].ok()) first_error = task_status[i];
   }
   RETURN_IF_ERROR(first_error);
-  AggregateResult result(bound.aggregates.size());
-  for (size_t i = 0; i < combos.size(); ++i) {
-    result.MergeFrom(partials[i]);
+  return partials;
+}
+
+StatusOr<AggregateResult> Executor::ExecuteUncached(
+    const AggregateQuery& query, Snapshot snapshot,
+    ExecutorStats* stats) const {
+  ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(*db_, query));
+  std::vector<SubjoinTask> tasks;
+  for (SubjoinCombination& combo : EnumerateAllCombinations(bound.tables)) {
+    tasks.push_back(SubjoinTask{std::move(combo), {}, {}});
   }
-  // HAVING applies to whole groups, so only after every subjoin is merged.
-  return bound.query->ApplyHaving(std::move(result));
+  ASSIGN_OR_RETURN(std::vector<AggregateResult> partials,
+                   ExecuteSubjoins(bound, tasks, snapshot, "uncached",
+                                   /*fault_point=*/nullptr, stats));
+  // Merge in enumeration order so results are deterministic at any thread
+  // count (floating-point sums are order-sensitive). HAVING applies to
+  // whole groups, so only after every subjoin is merged.
+  AggregateResult result(bound.aggregates.size());
+  for (const AggregateResult& partial : partials) result.MergeFrom(partial);
+  return query.ApplyHaving(std::move(result));
 }
 
 }  // namespace aggcache

@@ -2,6 +2,7 @@
 #define AGGCACHE_QUERY_EXECUTOR_H_
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "query/aggregate_query.h"
@@ -49,7 +50,8 @@ struct BoundQuery {
   };
   std::vector<BoundAggregate> aggregates;
 
-  /// Validates `query` and resolves all references.
+  /// Validates `query` and resolves all references, in one pass over the
+  /// catalog.
   static StatusOr<BoundQuery> Bind(const Database& db,
                                    const AggregateQuery& query);
 };
@@ -71,8 +73,8 @@ struct ExecutorStats {
   /// Aggregations that fell back to materialized group keys (> 64 bits).
   uint64_t fallback_groupings = 0;
 
-  /// Folds another stats block in; used to merge per-task counters
-  /// collected by parallel subjoin fan-outs into the caller's block.
+  /// Folds another stats block in; ExecuteSubjoins merges its per-task
+  /// counters into the caller's block with it.
   void MergeFrom(const ExecutorStats& other) {
     subjoins_executed += other.subjoins_executed;
     rows_scanned += other.rows_scanned;
@@ -87,6 +89,8 @@ struct ExecutorStats {
   bool operator==(const ExecutorStats&) const = default;
 };
 
+struct SubjoinTask;
+
 /// Aggregate query executor over the main-delta columnar store: per-table
 /// selection (with dictionary-range static pruning of filters), left-deep
 /// hash joins in query-table order, and hash aggregation.
@@ -94,27 +98,23 @@ struct ExecutorStats {
 /// Threading model: the executor holds no mutable state, so every entry
 /// point is const and fully re-entrant — concurrent calls on one instance
 /// are safe, with or without a stats block (a block passed to one call must
-/// not be shared with a concurrent one). Top-level entry points
-/// (ExecuteUncached and the cache manager) fan subjoins out across the
-/// global ThreadPool with per-task stats and merge both results and counters
-/// in enumeration order, so results and stats are deterministic at any
-/// thread count.
+/// not be shared with a concurrent one). ExecuteSubjoins is the one place
+/// subjoins fan out across the global ThreadPool: per-task stats and
+/// partials come back in task order, so results and stats are deterministic
+/// at any thread count.
 class Executor {
  public:
   explicit Executor(const Database* db) : db_(db) {}
 
   /// Optional per-table row restriction for ExecuteSubjoin: when
   /// `rows[t]` is set, table t's selection considers only those row ids of
-  /// its partition (visibility and filters still apply on top). Used by
-  /// incremental main compensation, whose correction joins restrict some
-  /// tables to their invalidated ("negative delta") rows.
+  /// its partition and applies the filters, but not the visibility check:
+  /// the caller vouches for the row set. Used by incremental main
+  /// compensation, whose correction joins restrict some tables to the rows
+  /// invalidated since the entry snapshot ("negative delta" rows), exactly
+  /// the rows a current snapshot would hide.
   struct RowRestriction {
     std::vector<std::optional<std::vector<uint32_t>>> rows;
-    /// When true, restricted tables skip the per-row visibility check: the
-    /// caller vouches for the row set. Main compensation passes the rows
-    /// invalidated since the entry snapshot, which are exactly the rows a
-    /// current snapshot would hide.
-    bool bypass_visibility_for_restricted = false;
   };
 
   /// Executes the query over one subjoin combination under `snapshot`.
@@ -129,22 +129,37 @@ class Executor {
       const RowRestriction* restriction = nullptr,
       ExecutorStats* stats = nullptr) const;
 
+  /// Runs every task through ExecuteSubjoin, fanned out across the global
+  /// ThreadPool, and returns one partial per task in task order. Each task
+  /// runs under the caller's QueryContext, in a kSubjoinTask span (detail
+  /// `span_detail`) under the caller's span, first consults `fault_point`
+  /// when it is non-null, and adds its scanned rows to the QueryContext.
+  /// Stats of every task merge into `stats` in task order; the first error
+  /// in task order is returned. Partials are not merged: each caller unions
+  /// them the way it needs.
+  StatusOr<std::vector<AggregateResult>> ExecuteSubjoins(
+      const BoundQuery& bound, std::span<const SubjoinTask> tasks,
+      Snapshot snapshot, const char* span_detail, const char* fault_point,
+      ExecutorStats* stats) const;
+
   /// Uncached execution (Section 2.3.1): evaluates and unions every
-  /// partition combination, fanning the subjoins out across the global
-  /// ThreadPool and merging partials in enumeration order. Adds the work of
-  /// every subjoin it ran to `stats` when given.
+  /// partition combination through ExecuteSubjoins, then applies HAVING.
+  /// Adds the work of every subjoin it ran to `stats` when given.
   StatusOr<AggregateResult> ExecuteUncached(
       const AggregateQuery& query, Snapshot snapshot,
       ExecutorStats* stats = nullptr) const;
 
-  /// Same, for an already-bound query — used by callers that bind first to
-  /// learn the table set (and take table locks) before executing.
-  StatusOr<AggregateResult> ExecuteUncachedBound(
-      const BoundQuery& bound, Snapshot snapshot,
-      ExecutorStats* stats = nullptr) const;
-
  private:
   const Database* db_;
+};
+
+/// One subjoin to run: the partition combination, the pushed-down filters
+/// that apply only to it, and the per-table restricted rows (empty = no
+/// table restricted).
+struct SubjoinTask {
+  SubjoinCombination combination;
+  std::vector<FilterPredicate> extra_filters;
+  Executor::RowRestriction restriction;
 };
 
 }  // namespace aggcache

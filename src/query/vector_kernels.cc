@@ -1,5 +1,6 @@
 #include "query/vector_kernels.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.h"
@@ -133,17 +134,13 @@ size_t SelectRowsRange(const Partition& p, const SelectionInput& in,
                                                end));
     size_t n = block_end - block;
     uint32_t dense_base = block;
-    if (in.check_visibility) {
-      size_t m = 0;
-      for (uint32_t r = block; r < block_end; ++r) {
-        idx[m] = r;
-        m += in.snapshot->RowVisible(create[r], invalidate[r]) ? 1 : 0;
-      }
-      if (m != n) dense_base = kSparse;
-      n = m;
-    } else {
-      for (size_t i = 0; i < n; ++i) idx[i] = block + static_cast<uint32_t>(i);
+    size_t m = 0;
+    for (uint32_t r = block; r < block_end; ++r) {
+      idx[m] = r;
+      m += in.snapshot->RowVisible(create[r], invalidate[r]) ? 1 : 0;
     }
+    if (m != n) dense_base = kSparse;
+    n = m;
     for (const CompiledColumnFilter& f : in.filters) {
       if (n == 0) break;
       n = ApplyFilterToBlock(f, idx, n, dense_base, codes);
@@ -154,29 +151,19 @@ size_t SelectRowsRange(const Partition& p, const SelectionInput& in,
   return blocks;
 }
 
-size_t SelectRowsGather(const Partition& p, const SelectionInput& in,
+size_t SelectRowsGather(const SelectionInput& in,
                         std::span<const uint32_t> candidates,
                         std::vector<uint32_t>* out) {
   uint32_t idx[kSelectionBlockRows];
   ValueId codes[kSelectionBlockRows];
-  const Tid* create = p.create_tids().data();
-  const Tid* invalidate = p.invalidate_tids().data();
   size_t blocks = 0;
   for (size_t base = 0; base < candidates.size();
        base += kSelectionBlockRows, ++blocks) {
     if (in.context != nullptr && in.context->IsAborted()) break;
     const size_t block_n =
         std::min(kSelectionBlockRows, candidates.size() - base);
-    size_t n = 0;
-    if (in.check_visibility) {
-      for (size_t i = 0; i < block_n; ++i) {
-        uint32_t r = candidates[base + i];
-        idx[n] = r;
-        n += in.snapshot->RowVisible(create[r], invalidate[r]) ? 1 : 0;
-      }
-    } else {
-      for (size_t i = 0; i < block_n; ++i) idx[n++] = candidates[base + i];
-    }
+    std::copy_n(candidates.begin() + base, block_n, idx);
+    size_t n = block_n;
     for (const CompiledColumnFilter& f : in.filters) {
       if (n == 0) break;
       n = ApplyFilterToBlock(f, idx, n, kSparse, codes);

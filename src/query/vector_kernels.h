@@ -54,7 +54,6 @@ bool CompileColumnFilter(const Column& column, CompareOp op,
 /// visibility snapshot and the compiled conjunctive filters.
 struct SelectionInput {
   const Snapshot* snapshot = nullptr;
-  bool check_visibility = true;
   std::span<const CompiledColumnFilter> filters;
   /// Optional governance token: the selection kernels poll it once per
   /// block and stop early when the owning query aborted (the caller's
@@ -70,9 +69,10 @@ size_t SelectRowsRange(const Partition& p, const SelectionInput& in,
                        uint32_t begin, uint32_t end,
                        std::vector<uint32_t>* out);
 
-/// Same, over an explicit candidate row list (the executor's
-/// RowRestriction path). Candidates are processed in the given order.
-size_t SelectRowsGather(const Partition& p, const SelectionInput& in,
+/// Appends the candidates that pass all filters to `out`, in the given
+/// order: the executor's RowRestriction path. There is no visibility check;
+/// the caller vouches for the candidates.
+size_t SelectRowsGather(const SelectionInput& in,
                         std::span<const uint32_t> candidates,
                         std::vector<uint32_t>* out);
 

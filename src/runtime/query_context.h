@@ -34,8 +34,8 @@ const char* QueryAbortReasonToString(QueryAbortReason reason);
 /// group-by flush) via Check(), which converts the abort into a typed
 /// Status (kCancelled / kDeadlineExceeded / kResourceExhausted). Whichever
 /// thread observes the abort first records it; every sibling task then
-/// unwinds at its next check, and the fan-out sites merge partial stats
-/// all-or-none exactly as on the error paths.
+/// unwinds at its next check, and Executor::ExecuteSubjoins returns the
+/// first error in task order, exactly as on other error paths.
 ///
 /// Memory charges go through MemoryTracker::Queries(): a charge that would
 /// exceed the per-query budget or any tracker limit aborts the query with

@@ -45,7 +45,7 @@ TEST_F(CompensationTest, DeltaCompensationCompletesTheCachedResult) {
 
   std::vector<MdBinding> mds = ResolveMds(*bound);
   JoinPruner pruner(&db_, PruneLevel::kFull);
-  CompensationStats stats;
+  ExecutorStats stats;
   auto delta = DeltaCompensate(executor, *bound, mds, pruner,
                                /*use_pushdown=*/false, Now(), &stats);
   ASSERT_TRUE(delta.ok());
@@ -59,8 +59,8 @@ TEST_F(CompensationTest, DeltaCompensationCompletesTheCachedResult) {
 
   // Stats add up: 3 compensation combos considered, 2 prunable (perfect
   // temporal locality), 1 executed.
-  EXPECT_EQ(stats.subjoins_considered, 3u);
-  EXPECT_EQ(stats.subjoins_pruned, 2u);
+  EXPECT_EQ(pruner.stats().considered, 3u);
+  EXPECT_EQ(pruner.stats().total_pruned(), 2u);
   EXPECT_EQ(stats.subjoins_executed, 1u);
 }
 
@@ -110,8 +110,8 @@ TEST_F(CompensationTest, RestrictedSubjoinSeesOnlyGivenRows) {
 
 TEST_F(CompensationTest, RestrictionBypassesVisibilityWhenAsked) {
   // Delete a header in main; under the current snapshot it is invisible,
-  // but a bypassing restriction can still join it (the negative-delta
-  // correction case).
+  // but a restriction to it still joins it (the negative-delta correction
+  // case): restricted rows skip the visibility check.
   Transaction txn = db_.Begin();
   auto loc = header_->FindByPk(Value(int64_t{2}));
   ASSERT_TRUE(loc.has_value());
@@ -125,18 +125,11 @@ TEST_F(CompensationTest, RestrictionBypassesVisibilityWhenAsked) {
   SubjoinCombination all_main = {{0, PartitionKind::kMain},
                                  {0, PartitionKind::kMain}};
 
-  Executor::RowRestriction no_bypass;
-  no_bypass.rows.resize(2);
-  no_bypass.rows[0] = std::vector<uint32_t>{deleted_row};
-  auto hidden = executor.ExecuteSubjoin(*bound, all_main, Now(), {},
-                                        &no_bypass);
-  ASSERT_TRUE(hidden.ok());
-  EXPECT_TRUE(hidden->empty());
-
-  Executor::RowRestriction bypass = no_bypass;
-  bypass.bypass_visibility_for_restricted = true;
+  Executor::RowRestriction restriction;
+  restriction.rows.resize(2);
+  restriction.rows[0] = std::vector<uint32_t>{deleted_row};
   auto visible = executor.ExecuteSubjoin(*bound, all_main, Now(), {},
-                                         &bypass);
+                                         &restriction);
   ASSERT_TRUE(visible.ok());
   EXPECT_FALSE(visible->empty());
 }

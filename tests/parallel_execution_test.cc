@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
+#include "workload/erp_generator.h"
 
 namespace aggcache {
 namespace {
@@ -235,6 +236,118 @@ TEST_F(ParallelExecutionTest, ConcurrentDeltaScansMatchSoloResultAndStats) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(result_mismatches.load(), 0);
   EXPECT_EQ(stats_mismatches.load(), 0);
+}
+
+// One Header ⋈ Item ⋈ ProductCategory entry driven through every phase that
+// runs subjoins: entry build, delta compensation with pushdown, main
+// correction joins, the merge-time fold and an uncached read. Each phase
+// goes through the same planner and runner, so at pool parallelism 1 and 4
+// the answers and the per-call counts must be identical.
+TEST(SubjoinRunnerParityTest, EveryPhaseIdenticalAtPoolSizesOneAndFour) {
+  struct Call {
+    AggregateResult result;
+    CacheExecStats stats;
+    QueryTrace trace;
+    // "phase combination verdict" per recorded subjoin.
+    std::vector<std::string> Verdicts() const {
+      std::vector<std::string> out;
+      for (const SubjoinTrace& s : trace.subjoins) {
+        out.push_back(s.phase + " " + s.combination + " " +
+                      std::to_string(static_cast<int>(s.verdict)));
+      }
+      return out;
+    }
+  };
+  auto run_phases = [](size_t parallelism) {
+    ThreadPool::SetGlobalParallelism(parallelism);
+    Database db;
+    ErpConfig config;
+    config.num_headers_main = 300;
+    config.num_categories = 12;
+    auto dataset = ErpDataset::Create(&db, config);
+    EXPECT_TRUE(dataset.ok()) << dataset.status();
+    AggregateCacheManager cache(&db);
+    const AggregateQuery query = dataset->ProfitByCategoryQuery(2013);
+    std::vector<Call> calls;
+    auto execute = [&](ExecutionStrategy strategy) {
+      ExecutionOptions options;
+      options.strategy = strategy;
+      options.use_predicate_pushdown = true;
+      Call call;
+      options.stats = &call.stats;
+      options.trace = &call.trace;
+      Transaction txn = db.Begin();
+      auto result = cache.Execute(query, txn, options);
+      EXPECT_TRUE(result.ok()) << result.status();
+      if (result.ok()) call.result = std::move(result).value();
+      calls.push_back(std::move(call));
+    };
+
+    execute(ExecutionStrategy::kCachedFullPruning);  // Entry build.
+    // New objects plus late items: a main x delta subjoin survives pruning
+    // and carries pushdown filters.
+    Rng rng(11);
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_TRUE(dataset->InsertBusinessObject(rng).ok());
+    }
+    EXPECT_OK(dataset->InsertLateItems(rng, 8));
+    execute(ExecutionStrategy::kCachedFullPruning);  // Delta compensation.
+    {
+      // Main updates on Header and Item: correction joins.
+      Transaction txn = db.Begin();
+      EXPECT_OK(dataset->header()->UpdateColumnByPk(
+          txn, Value(int64_t{3}), "FiscalYear", Value(int64_t{2013})));
+      EXPECT_OK(dataset->header()->UpdateColumnByPk(
+          txn, Value(int64_t{4}), "FiscalYear", Value(int64_t{2014})));
+      EXPECT_OK(dataset->item()->UpdateColumnByPk(txn, Value(int64_t{10}),
+                                                  "Price", Value(99.5)));
+      EXPECT_OK(dataset->item()->DeleteByPk(txn, Value(int64_t{20})));
+    }
+    execute(ExecutionStrategy::kCachedFullPruning);  // Main correction.
+    EXPECT_OK(db.MergeAll());                         // Merge-time fold.
+    execute(ExecutionStrategy::kCachedFullPruning);
+    execute(ExecutionStrategy::kUncached);
+    return calls;
+  };
+
+  std::vector<Call> serial = run_phases(1);
+  std::vector<Call> parallel = run_phases(4);
+  ThreadPool::SetGlobalParallelism(1);
+  ASSERT_EQ(serial.size(), 5u);
+  ASSERT_EQ(parallel.size(), serial.size());
+  // The correction ran incrementally and the fold kept the entry: no call
+  // after the build rebuilt it.
+  EXPECT_TRUE(serial[0].stats.entry_created);
+  EXPECT_GT(serial[2].stats.main_comp_ms, 0.0);
+  for (const Call& call : serial) EXPECT_FALSE(call.stats.entry_rebuilt);
+  EXPECT_TRUE(serial[3].stats.cache_hit);
+  auto has_event = [](const Call& call, const std::string& phase,
+                      SubjoinTrace::Verdict verdict) {
+    for (const SubjoinTrace& s : call.trace.subjoins) {
+      if (s.phase == phase && s.verdict == verdict) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_event(serial[1], "delta-compensation",
+                        SubjoinTrace::Verdict::kPushdown));
+  EXPECT_TRUE(has_event(serial[2], "main-correction",
+                        SubjoinTrace::Verdict::kExecuted));
+  std::string diff;
+  EXPECT_TRUE(serial[3].result.ApproxEquals(serial[4].result, 1e-9, &diff))
+      << "post-merge cached answer vs uncached: " << diff;
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_TRUE(parallel[i].result.ApproxEquals(serial[i].result, 0.0, &diff))
+        << "call " << i << ": " << diff;
+    const CacheExecStats& a = serial[i].stats;
+    const CacheExecStats& b = parallel[i].stats;
+    EXPECT_EQ(a.used_cache, b.used_cache) << "call " << i;
+    EXPECT_EQ(a.cache_hit, b.cache_hit) << "call " << i;
+    EXPECT_EQ(a.entry_created, b.entry_created) << "call " << i;
+    EXPECT_EQ(a.entry_rebuilt, b.entry_rebuilt) << "call " << i;
+    EXPECT_EQ(a.subjoins_executed, b.subjoins_executed) << "call " << i;
+    EXPECT_EQ(a.subjoins_pruned, b.subjoins_pruned) << "call " << i;
+    EXPECT_EQ(serial[i].Verdicts(), parallel[i].Verdicts()) << "call " << i;
+  }
 }
 
 }  // namespace
