@@ -228,7 +228,7 @@ void AggregateCacheManager::AssertByteAccountingLocked() const {
 #endif
 }
 
-void AggregateCacheManager::RefreshEntrySize(CacheEntry& entry) {
+void AggregateCacheManager::PublishEntry(CacheEntry& entry) {
   std::lock_guard<std::mutex> lock(bytes_mu_);
   // The Cache() tracker mirrors total_bytes_ exactly, so process-level
   // pressure sees cached values alongside query reservations.
@@ -236,7 +236,7 @@ void AggregateCacheManager::RefreshEntrySize(CacheEntry& entry) {
     total_bytes_ -= entry.metrics().size_bytes;
     MemoryTracker::Cache().Release(entry.metrics().size_bytes);
   }
-  entry.RefreshSizeBytes();
+  entry.PublishMainResult();
   if (entry.bytes_accounted) {
     total_bytes_ += entry.metrics().size_bytes;
     MemoryTracker::Cache().Reserve(entry.metrics().size_bytes);
@@ -373,7 +373,7 @@ Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
     entry.main_partials()[tasks[i].combination] = std::move(partials[i]);
   }
   RefreshSnapshots(entry, bound, snapshot);
-  RefreshEntrySize(entry);
+  PublishEntry(entry);
   build.End();
   entry.metrics().main_exec_ms = build.elapsed_ms();
   entry.metrics().main_rows_aggregated = exec_stats.rows_scanned;
@@ -649,7 +649,7 @@ Status AggregateCacheManager::IncrementalMainCompensate(
     }
   }
   entry.set_base_tid(snapshot.read_tid);
-  RefreshEntrySize(entry);
+  PublishEntry(entry);
   return Status::Ok();
 }
 
@@ -826,7 +826,7 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
     std::shared_lock<std::shared_mutex> value_lock(entry->value_mutex());
     if (entry->base_tid() <= snapshot.read_tid &&
         entry->ShapeMatches(bound.tables) && !entry->IsDirty(bound.tables)) {
-      main_result = entry->MergedMainResult(bound.aggregates.size());
+      main_result = entry->main_result();
       have_main = true;
       if (!stats->entry_created) stats->cache_hit = true;
     }
@@ -861,9 +861,9 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
       stats->cache_hit = true;
     }
     RETURN_IF_ERROR(MainCompensate(*entry, bound, snapshot, stats));
-    // Capture the merged result before dropping the lock — the partials
-    // may be compensated further the moment it is released.
-    main_result = entry->MergedMainResult(bound.aggregates.size());
+    // Take the published result before dropping the lock; a later
+    // republish swaps in a new shared map and leaves this one intact.
+    main_result = entry->main_result();
   }
   TouchEntry(*entry);
   lookup->End();
@@ -1287,7 +1287,7 @@ void AggregateCacheManager::OnBeforeMerge(Table& table, size_t group_index,
       combo[table_pos].kind = PartitionKind::kMain;
       entry->main_partials().at(combo).MergeFrom((*folds)[i]);
     }
-    RefreshEntrySize(*entry);
+    PublishEntry(*entry);
     CacheEntryMetrics::Add(entry->metrics().maintenance_ms,
                            watch.ElapsedMillis());
   }
@@ -1314,7 +1314,7 @@ void AggregateCacheManager::OnAfterMerge(Table& table, size_t group_index,
     }
     if (!uses_table) continue;
     RefreshSnapshots(*entry, bound, snapshot);
-    RefreshEntrySize(*entry);
+    PublishEntry(*entry);
   }
 }
 

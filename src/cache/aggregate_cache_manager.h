@@ -272,10 +272,12 @@ class AggregateCacheManager : public MergeObserver,
   void TouchEntry(CacheEntry& entry);
   void EvictIfNeeded(const CacheEntry* keep = nullptr);
 
-  /// Refreshes the entry's size_bytes, keeping the running byte total in
+  /// Publishes the entry's main result and refreshes its size_bytes
+  /// (CacheEntry::PublishMainResult), keeping the running byte total in
   /// step while the entry's bytes are accounted (see
-  /// CacheEntry::bytes_accounted).
-  void RefreshEntrySize(CacheEntry& entry);
+  /// CacheEntry::bytes_accounted). Called under the exclusive value lock
+  /// after every change to the partials or snapshots.
+  void PublishEntry(CacheEntry& entry);
 
   /// Removes `entry` from its shard if still resident (deaccounting its
   /// bytes) — used when a build fails or admission rejects it.

@@ -5,14 +5,6 @@
 
 namespace aggcache {
 
-AggregateResult CacheEntry::MergedMainResult(size_t num_aggregates) const {
-  AggregateResult merged(num_aggregates);
-  for (const auto& [combo, partial] : main_partials_) {
-    merged.MergeFrom(partial);
-  }
-  return merged;
-}
-
 bool CacheEntry::IsDirty(const std::vector<const Table*>& tables) const {
   AGGCACHE_CHECK_EQ(tables.size(), snapshots_.size());
   for (size_t t = 0; t < tables.size(); ++t) {
@@ -40,8 +32,15 @@ bool CacheEntry::ShapeMatches(const std::vector<const Table*>& tables) const {
   return true;
 }
 
-void CacheEntry::RefreshSizeBytes() {
-  size_t bytes = 0;
+void CacheEntry::PublishMainResult() {
+  AggregateResult merged(query_.aggregates.size());
+  for (const auto& [combo, partial] : main_partials_) {
+    merged.MergeFrom(partial);
+  }
+  merged.Share();
+  main_result_ = std::move(merged);
+
+  size_t bytes = main_result_.ByteSize();
   for (const auto& [combo, partial] : main_partials_) {
     bytes += partial.ByteSize() + combo.size() * sizeof(PartitionRef);
   }

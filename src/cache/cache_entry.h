@@ -48,11 +48,12 @@ enum class EntryState : uint8_t {
 /// caches (Section 5.4): a merge of the hot group only touches partials
 /// whose combination involves that group's main.
 ///
-/// Concurrency: the cached value (partials + snapshots + base_tid) is
-/// guarded by value_mutex() — shared to read, exclusive to compensate or
-/// rebuild. State transitions and waiting use their own small mutex so
-/// eviction never blocks on a long-running compensation. Metrics are
-/// atomics. The raw accessors do not lock; callers hold the value lock.
+/// Concurrency: the cached value (partials, published main result,
+/// snapshots, base_tid) is guarded by value_mutex() — shared to read,
+/// exclusive to compensate or rebuild. State transitions and waiting use
+/// their own small mutex so eviction never blocks on a long-running
+/// compensation. Metrics are atomics. The raw accessors do not lock;
+/// callers hold the value lock.
 class CacheEntry {
  public:
   CacheEntry(CacheKey key, AggregateQuery query)
@@ -65,6 +66,7 @@ class CacheEntry {
       : key_(std::move(other.key_)),
         query_(std::move(other.query_)),
         main_partials_(std::move(other.main_partials_)),
+        main_result_(std::move(other.main_result_)),
         snapshots_(std::move(other.snapshots_)),
         metrics_(other.metrics_),
         base_tid_(other.base_tid_),
@@ -95,8 +97,16 @@ class CacheEntry {
     return main_partials_;
   }
 
-  /// Union of all cached partials: the main-only query result.
-  AggregateResult MergedMainResult(size_t num_aggregates) const;
+  /// Union of all cached partials, the main-only query result, as last
+  /// published by PublishMainResult(). Its groups are shared, so copying
+  /// it under the value lock costs a reference-count bump, and the copy
+  /// keeps its groups when the entry later republishes.
+  const AggregateResult& main_result() const { return main_result_; }
+
+  /// Merges the partials into a fresh shared main_result() and recomputes
+  /// metrics().size_bytes. Runs under the exclusive value lock after every
+  /// change to the partials or snapshots.
+  void PublishMainResult();
 
   /// Snapshots indexed [query table][partition group].
   std::vector<std::vector<MainSnapshot>>& snapshots() { return snapshots_; }
@@ -130,12 +140,9 @@ class CacheEntry {
     return needs_rebuild_.load(std::memory_order_relaxed);
   }
 
-  /// Recomputes metrics().size_bytes from the stored partials + snapshots.
-  void RefreshSizeBytes();
-
-  /// Reader-writer lock over the cached value (partials, snapshots,
-  /// base_tid): shared to read a clean entry, exclusive to compensate,
-  /// fold, or rebuild it.
+  /// Reader-writer lock over the cached value (partials, published main
+  /// result, snapshots, base_tid): shared to read a clean entry, exclusive
+  /// to compensate, fold, or rebuild it.
   std::shared_mutex& value_mutex() const { return value_mu_; }
 
   /// The snapshot tid the cached value is based on: the tid of the last
@@ -218,6 +225,7 @@ class CacheEntry {
   CacheKey key_;
   AggregateQuery query_;
   std::map<SubjoinCombination, AggregateResult> main_partials_;
+  AggregateResult main_result_;
   std::vector<std::vector<MainSnapshot>> snapshots_;
   CacheEntryMetrics metrics_;
   Tid base_tid_ = 0;

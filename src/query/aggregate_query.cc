@@ -1,5 +1,7 @@
 #include "query/aggregate_query.h"
 
+#include <charconv>
+
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "query/executor.h"
@@ -64,21 +66,83 @@ std::vector<AggregateFunction> AggregateQuery::AggregateFunctions() const {
   return fns;
 }
 
+namespace {
+
+void AppendIndex(size_t i, std::string* out) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), i).ptr);
+}
+
+/// Appends `v` so that distinct operands render distinctly: doubles in
+/// their shortest round-trip form, which is exact, and strings prefixed by
+/// their length, so a literal cannot spell out further key parts. The type
+/// is not tagged: Bind requires an operand to match its column's type, and
+/// the key names the column.
+void AppendOperand(const Value& v, std::string* out) {
+  if (v.is_string()) {
+    const std::string& s = v.AsString();
+    AppendIndex(s.size(), out);
+    *out += '\'';
+    *out += s;
+    *out += '\'';
+    return;
+  }
+  if (v.is_null()) {
+    *out += "NULL";
+    return;
+  }
+  char buf[32];
+  char* end = v.is_int64()
+                  ? std::to_chars(buf, buf + sizeof(buf), v.AsInt64()).ptr
+                  : std::to_chars(buf, buf + sizeof(buf), v.AsDouble()).ptr;
+  out->append(buf, end);
+}
+
+}  // namespace
+
 std::string AggregateQuery::CanonicalString() const {
-  std::vector<std::string> parts;
-  for (const TableRef& t : tables) parts.push_back("T:" + t.table_name);
-  for (const JoinCondition& j : joins) parts.push_back("J:" + j.ToString());
+  std::string out;
+  out.reserve(256);
+  auto part = [&out](const char* tag) {
+    if (!out.empty()) out += '|';
+    out += tag;
+  };
+  auto column = [&out](size_t table_index, const std::string& name) {
+    out += 't';
+    AppendIndex(table_index, &out);
+    out += '.';
+    out += name;
+  };
+  for (const TableRef& t : tables) {
+    part("T:");
+    out += t.table_name;
+  }
+  for (const JoinCondition& j : joins) {
+    part("J:");
+    column(j.left_table, j.left_column);
+    out += " = ";
+    column(j.right_table, j.right_column);
+  }
   for (const FilterPredicate& f : filters) {
-    parts.push_back("F:" + f.ToString());
+    part("F:");
+    column(f.table_index, f.column);
+    out += ' ';
+    out += CompareOpToString(f.op);
+    out += ' ';
+    AppendOperand(f.operand, &out);
   }
   for (const GroupByRef& g : group_by) {
-    parts.push_back(StrFormat("G:t%zu.%s", g.table_index, g.column.c_str()));
+    part("G:");
+    column(g.table_index, g.column);
   }
   for (const AggregateSpec& a : aggregates) {
-    parts.push_back(StrFormat("A:%s(t%zu.%s)", AggregateFunctionToString(a.fn),
-                              a.table_index, a.column.c_str()));
+    part("A:");
+    out += AggregateFunctionToString(a.fn);
+    out += '(';
+    column(a.table_index, a.column);
+    out += ')';
   }
-  return StrJoin(parts, "|");
+  return out;
 }
 
 std::string AggregateQuery::ToSql() const {

@@ -78,10 +78,13 @@ class AggregateQuery {
   /// Aggregate functions in select-list order (for finalization).
   std::vector<AggregateFunction> AggregateFunctions() const;
 
-  /// Canonical text of the query; equal queries produce equal strings, which
-  /// is what the aggregate cache key is derived from. HAVING predicates are
+  /// Canonical text of the query, rendered in one pass into one string;
+  /// equal queries produce equal strings and distinct queries distinct ones
+  /// (literals are written exactly and strings length-prefixed), which is
+  /// what the aggregate cache key is derived from. HAVING predicates are
   /// deliberately excluded: they filter finalized groups after compensation,
-  /// so queries differing only in HAVING can share one cache entry.
+  /// so queries differing only in HAVING can share one cache entry. Not
+  /// memoized: the fields are public and mutable, so a memo could go stale.
   std::string CanonicalString() const;
 
   /// Filters `result` by the HAVING predicates (group-level comparisons on

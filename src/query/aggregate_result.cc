@@ -110,10 +110,24 @@ Value AggregateState::Finalize(AggregateFunction fn) const {
   return Value();
 }
 
+void AggregateResult::Share() {
+  if (shared_) return;
+  shared_ = std::make_shared<const Groups>(std::move(groups_));
+  groups_ = Groups();
+}
+
+AggregateResult::Groups& AggregateResult::MutableGroups() {
+  if (shared_) {
+    groups_ = *shared_;
+    shared_.reset();
+  }
+  return groups_;
+}
+
 void AggregateResult::Accumulate(const GroupKey& key,
                                  const std::vector<Value>& inputs) {
   AGGCACHE_CHECK_EQ(inputs.size(), num_aggregates_);
-  GroupEntry& entry = groups_[key];
+  GroupEntry& entry = MutableGroups()[key];
   if (entry.states.empty()) entry.states.resize(num_aggregates_);
   for (size_t i = 0; i < num_aggregates_; ++i) {
     entry.states[i].Add(inputs[i]);
@@ -123,13 +137,15 @@ void AggregateResult::Accumulate(const GroupKey& key,
 
 void AggregateResult::SetGroup(const GroupKey& key, GroupEntry entry) {
   AGGCACHE_CHECK_EQ(entry.states.size(), num_aggregates_);
-  groups_[key] = std::move(entry);
+  MutableGroups()[key] = std::move(entry);
 }
 
 void AggregateResult::MergeFrom(const AggregateResult& other) {
   AGGCACHE_CHECK_EQ(num_aggregates_, other.num_aggregates_);
-  for (const auto& [key, other_entry] : other.groups_) {
-    GroupEntry& entry = groups_[key];
+  if (other.empty()) return;
+  Groups& groups = MutableGroups();
+  for (const auto& [key, other_entry] : other.groups()) {
+    GroupEntry& entry = groups[key];
     if (entry.states.empty()) entry.states.resize(num_aggregates_);
     for (size_t i = 0; i < num_aggregates_; ++i) {
       entry.states[i].Merge(other_entry.states[i]);
@@ -142,9 +158,11 @@ Status AggregateResult::SubtractFrom(const AggregateResult& other) {
   if (num_aggregates_ != other.num_aggregates_) {
     return Status::InvalidArgument("aggregate arity mismatch in subtract");
   }
-  for (const auto& [key, other_entry] : other.groups_) {
-    auto it = groups_.find(key);
-    if (it == groups_.end()) {
+  if (other.empty()) return Status::Ok();
+  Groups& groups = MutableGroups();
+  for (const auto& [key, other_entry] : other.groups()) {
+    auto it = groups.find(key);
+    if (it == groups.end()) {
       return Status::FailedPrecondition(
           "subtracting a group absent from the result: " + key.ToString());
     }
@@ -157,7 +175,7 @@ Status AggregateResult::SubtractFrom(const AggregateResult& other) {
       entry.states[i].Subtract(other_entry.states[i]);
     }
     entry.count_star -= other_entry.count_star;
-    if (entry.count_star == 0) groups_.erase(it);
+    if (entry.count_star == 0) groups.erase(it);
   }
   return Status::Ok();
 }
@@ -166,8 +184,8 @@ std::vector<std::vector<Value>> AggregateResult::Rows(
     const std::vector<AggregateFunction>& functions) const {
   AGGCACHE_CHECK_EQ(functions.size(), num_aggregates_);
   std::vector<std::vector<Value>> rows;
-  rows.reserve(groups_.size());
-  for (const auto& [key, entry] : groups_) {
+  rows.reserve(num_groups());
+  for (const auto& [key, entry] : groups()) {
     std::vector<Value> row = key.values;
     for (size_t i = 0; i < num_aggregates_; ++i) {
       row.push_back(entry.states[i].Finalize(functions[i]));
@@ -204,13 +222,13 @@ bool AggregateResult::ApproxEquals(const AggregateResult& other,
   if (num_aggregates_ != other.num_aggregates_) {
     return fail("aggregate arity differs");
   }
-  if (groups_.size() != other.groups_.size()) {
-    return fail(StrFormat("group count differs: %zu vs %zu", groups_.size(),
-                          other.groups_.size()));
+  if (num_groups() != other.num_groups()) {
+    return fail(StrFormat("group count differs: %zu vs %zu", num_groups(),
+                          other.num_groups()));
   }
-  for (const auto& [key, entry] : groups_) {
-    auto it = other.groups_.find(key);
-    if (it == other.groups_.end()) {
+  for (const auto& [key, entry] : groups()) {
+    auto it = other.groups().find(key);
+    if (it == other.groups().end()) {
       return fail("group missing from other: " + key.ToString());
     }
     const GroupEntry& other_entry = it->second;
@@ -233,8 +251,8 @@ bool AggregateResult::ApproxEquals(const AggregateResult& other,
 }
 
 size_t AggregateResult::ByteSize() const {
-  size_t bytes = groups_.bucket_count() * sizeof(void*);
-  for (const auto& [key, entry] : groups_) {
+  size_t bytes = groups().bucket_count() * sizeof(void*);
+  for (const auto& [key, entry] : groups()) {
     bytes += sizeof(GroupEntry) + sizeof(void*);
     for (const Value& v : key.values) bytes += v.ByteSize();
     bytes += entry.states.size() * sizeof(AggregateState);

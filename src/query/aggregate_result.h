@@ -1,6 +1,7 @@
 #ifndef AGGCACHE_QUERY_AGGREGATE_RESULT_H_
 #define AGGCACHE_QUERY_AGGREGATE_RESULT_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -74,20 +75,32 @@ struct AggregateState {
 /// states plus a COUNT(*) kept for every group. The hidden COUNT(*) is what
 /// the paper's aggregate cache value stores as well (Fig. 2): it detects
 /// groups whose rows all disappeared, so compensation can drop them.
+///
+/// A result either owns its group map or shares an immutable one. Share()
+/// turns an owned map into a shared one; copying a shared result then
+/// copies a pointer, not the groups. The first mutation of a shared result
+/// copies the map into one it owns, so a shared map is never written and
+/// no reference count is ever consulted. Copying an owned result copies
+/// its groups, as before.
 class AggregateResult {
  public:
   struct GroupEntry {
     std::vector<AggregateState> states;
     int64_t count_star = 0;
   };
+  using Groups = std::unordered_map<GroupKey, GroupEntry, GroupKeyHash>;
 
   AggregateResult() = default;
   explicit AggregateResult(size_t num_aggregates)
       : num_aggregates_(num_aggregates) {}
 
   size_t num_aggregates() const { return num_aggregates_; }
-  size_t num_groups() const { return groups_.size(); }
-  bool empty() const { return groups_.empty(); }
+  size_t num_groups() const { return groups().size(); }
+  bool empty() const { return groups().empty(); }
+
+  /// Moves the owned groups into an immutable shared map, so later copies
+  /// of this result share them. A no-op on an already shared result.
+  void Share();
 
   /// Folds one joined tuple into the result. `inputs` holds the input value
   /// for each aggregate (ignored for COUNT(*) entries, pass any value).
@@ -98,7 +111,8 @@ class AggregateResult {
   /// tables); `entry.states` must have num_aggregates() elements.
   void SetGroup(const GroupKey& key, GroupEntry entry);
 
-  /// Set-union with another result over the same query shape.
+  /// Set-union with another result over the same query shape. Merging an
+  /// empty result changes nothing and leaves a shared map shared.
   void MergeFrom(const AggregateResult& other);
 
   /// Removes `other`'s contribution; groups whose COUNT(*) reaches zero are
@@ -107,10 +121,7 @@ class AggregateResult {
   /// bug).
   Status SubtractFrom(const AggregateResult& other);
 
-  const std::unordered_map<GroupKey, GroupEntry, GroupKeyHash>& groups()
-      const {
-    return groups_;
-  }
+  const Groups& groups() const { return shared_ ? *shared_ : groups_; }
 
   /// Finalized rows, sorted by group key for deterministic output: each row
   /// is the group values followed by the finalized aggregates.
@@ -126,8 +137,12 @@ class AggregateResult {
   size_t ByteSize() const;
 
  private:
+  /// The groups, made owned first: copies a shared map on first write.
+  Groups& MutableGroups();
+
   size_t num_aggregates_ = 0;
-  std::unordered_map<GroupKey, GroupEntry, GroupKeyHash> groups_;
+  Groups groups_;                         ///< Used while shared_ is null.
+  std::shared_ptr<const Groups> shared_;  ///< Immutable once set.
 };
 
 }  // namespace aggcache

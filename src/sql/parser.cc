@@ -1,6 +1,11 @@
 #include "sql/parser.h"
 
 #include <cstdlib>
+#include <memory>
+#include <mutex>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "common/string_util.h"
 #include "sql/tokenizer.h"
@@ -516,14 +521,76 @@ class Parser {
   std::vector<const Table*> from_tables_;
 };
 
+/// Successfully parsed SELECT/EXPLAIN statements keyed by (database
+/// instance id, SQL text). Lookups are heterogeneous, so a probe neither
+/// copies the text nor allocates.
+class StatementCache {
+ public:
+  static StatementCache& Get() {
+    static StatementCache* cache = new StatementCache();
+    return *cache;
+  }
+
+  std::shared_ptr<const ParsedStatement> Find(uint64_t db_id,
+                                              const std::string& sql) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(KeyView{db_id, sql});
+    return it == map_.end() ? nullptr : it->second;
+  }
+
+  void Insert(uint64_t db_id, const std::string& sql,
+              const ParsedStatement& statement) {
+    auto shared = std::make_shared<const ParsedStatement>(statement);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (map_.size() >= kStatementCacheCapacity) map_.clear();
+    map_.emplace(Key{db_id, sql}, std::move(shared));
+  }
+
+  size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return map_.size();
+  }
+
+ private:
+  using Key = std::pair<uint64_t, std::string>;
+  using KeyView = std::pair<uint64_t, std::string_view>;
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(const KeyView& key) const {
+      return std::hash<std::string_view>()(key.second) ^
+             (key.first * 0x9e3779b97f4a7c15ULL);
+    }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(const KeyView& a, const KeyView& b) const {
+      return a == b;
+    }
+  };
+
+  mutable std::mutex mu_;
+  std::unordered_map<Key, std::shared_ptr<const ParsedStatement>, KeyHash,
+                     KeyEq>
+      map_;
+};
+
 }  // namespace
 
 StatusOr<ParsedStatement> ParseStatement(const std::string& sql,
                                          const Database& db) {
+  StatementCache& cache = StatementCache::Get();
+  if (auto cached = cache.Find(db.instance_id(), sql)) return *cached;
   ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
   Parser parser(std::move(tokens), db);
-  return parser.Parse();
+  ASSIGN_OR_RETURN(ParsedStatement statement, parser.Parse());
+  if (statement.kind == ParsedStatement::Kind::kSelect ||
+      statement.kind == ParsedStatement::Kind::kExplain) {
+    cache.Insert(db.instance_id(), sql, statement);
+  }
+  return statement;
 }
+
+size_t StatementCacheSize() { return StatementCache::Get().size(); }
 
 Status ApplyStatement(const ParsedStatement& statement, Database* db) {
   switch (statement.kind) {

@@ -52,8 +52,21 @@ struct ParsedStatement {
 /// matching-dependency tid column; `OWN TID c` declares the table's own
 /// temporal column (Section 5 of the paper). A trailing semicolon is
 /// allowed. SELECT statements are validated against `db`.
+///
+/// Statements that parse as SELECT or EXPLAIN are kept in a process-wide
+/// statement cache keyed by (`db.instance_id()`, `sql`), so a repeated read
+/// costs one map lookup and a copy instead of a tokenize, parse and bind.
+/// Failed parses are never kept: a statement that names a table not yet
+/// created parses once the table exists. No invalidation is needed because
+/// the catalog only grows (see Database::CreateTable). The cache holds at
+/// most kStatementCacheCapacity statements and is cleared when full.
 StatusOr<ParsedStatement> ParseStatement(const std::string& sql,
                                          const Database& db);
+
+inline constexpr size_t kStatementCacheCapacity = 1024;
+
+/// Number of statements the statement cache holds right now.
+size_t StatementCacheSize();
 
 /// Executes a parsed non-SELECT statement against the database (INSERT
 /// runs in its own transaction; CREATE TABLE registers the schema).

@@ -9,6 +9,14 @@
 
 namespace aggcache {
 
+namespace {
+std::atomic<uint64_t> next_database_instance_id{1};
+}  // namespace
+
+Database::Database()
+    : instance_id_(
+          next_database_instance_id.fetch_add(1, std::memory_order_relaxed)) {}
+
 StatusOr<Table*> Database::CreateTable(const TableSchema& schema) {
   RETURN_IF_ERROR(schema.Validate());
   Table* raw = nullptr;

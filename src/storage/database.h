@@ -34,11 +34,22 @@ class DurabilityManager;
 /// readers that could reference it have drained.
 class Database {
  public:
-  Database() = default;
+  Database();
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
+  /// Process-unique id of this database, drawn from a global counter at
+  /// construction and never reused, so state keyed by it (the SQL layer's
+  /// statement cache) cannot leak into a later database that happens to
+  /// occupy the same address.
+  uint64_t instance_id() const { return instance_id_; }
+
   /// Creates a table. Referenced tables (foreign keys) must already exist.
+  ///
+  /// The catalog only grows: tables are never altered or dropped, so a
+  /// SELECT that bound once binds the same way for the life of the
+  /// database. The statement cache in ParseStatement relies on that; an
+  /// API that drops or alters a table must also clear that cache.
   StatusOr<Table*> CreateTable(const TableSchema& schema);
 
   StatusOr<Table*> GetTable(const std::string& name);
@@ -154,6 +165,7 @@ class Database {
   /// True when any member table's delta is over the group threshold.
   StatusOr<bool> GroupDue(const MergeGroup& group) const;
 
+  const uint64_t instance_id_;
   mutable std::mutex catalog_mu_;   // guards tables_/aging_groups_/merge_groups_
   mutable std::mutex observers_mu_; // guards merge_observers_
   std::map<std::string, std::unique_ptr<Table>> tables_;

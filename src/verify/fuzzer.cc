@@ -1,6 +1,8 @@
 #include "verify/fuzzer.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -310,6 +312,28 @@ class FuzzRun : public TraceEngineHost {
     return "0";
   }
 
+  /// A literal for a column of a row being written. Double literals are
+  /// remembered for FilterLiteral.
+  std::string RowLiteral(const FuzzColumn& col) {
+    std::string literal = RandomLiteral(col);
+    if (col.type == ColumnType::kDouble) {
+      written_doubles_[col.name].push_back(literal);
+    }
+    return literal;
+  }
+
+  /// A filter literal. For a double column, half the time a value some row
+  /// was written with: filters then sit on stored values, and a nudged
+  /// re-run of the query (NudgeDoubleLiterals) changes which rows match.
+  std::string FilterLiteral(const FuzzColumn& col) {
+    auto written = written_doubles_.find(col.name);
+    if (written != written_doubles_.end() && rng_.Chance(0.5)) {
+      const std::vector<std::string>& values = written->second;
+      return values[rng_.UniformInt(0, values.size() - 1)];
+    }
+    return RandomLiteral(col);
+  }
+
   // --- Workload operations ------------------------------------------------
 
   /// Primary keys eligible as a join parent for new/updated child rows:
@@ -337,7 +361,7 @@ class FuzzRun : public TraceEngineHost {
       values += StrFormat(", %lld", static_cast<long long>(parent_pk));
     }
     for (const FuzzColumn& col : table.cols) {
-      values += ", " + RandomLiteral(col);
+      values += ", " + RowLiteral(col);
     }
     Exec("INSERT INTO " + table.name + " VALUES (" + values + ");");
     if (failed_) return;
@@ -375,7 +399,7 @@ class FuzzRun : public TraceEngineHost {
           StrFormat(" %lld", static_cast<long long>(table.rows[pk].parent_pk));
     }
     for (const FuzzColumn& col : table.cols) {
-      values += " " + RandomLiteral(col);
+      values += " " + RowLiteral(col);
     }
     Exec(StrFormat("!update %s %lld %s", table.name.c_str(),
                    static_cast<long long>(pk), values.c_str()));
@@ -666,7 +690,7 @@ class FuzzRun : public TraceEngineHost {
       const QualifiedCol& c = all[rng_.UniformInt(0, all.size() - 1)];
       conjuncts.push_back(StrFormat("%s %s %s", c.text.c_str(),
                                     kOps[rng_.UniformInt(0, 5)],
-                                    RandomLiteral(*c.col).c_str()));
+                                    FilterLiteral(*c.col).c_str()));
     }
     if (rng_.Chance(0.15)) {
       const FuzzTable& t =
@@ -700,6 +724,41 @@ class FuzzRun : public TraceEngineHost {
     return sql + ";";
   }
 
+  /// `sql` with every decimal literal moved by 1e-7, below its 6th
+  /// significant digit: a different query that a cache key rendering
+  /// doubles inexactly would confuse with the original. The move is toward
+  /// the side that flips a row holding exactly the literal (up after `<`
+  /// and `>=`, down after `>` and `<=`), so with FilterLiteral the two
+  /// queries often differ in answer. Identifiers never hold a digit
+  /// followed by '.', so only literals match.
+  std::string NudgeDoubleLiterals(const std::string& sql) {
+    auto digit = [&sql](size_t i) {
+      return i < sql.size() &&
+             std::isdigit(static_cast<unsigned char>(sql[i]));
+    };
+    std::string out;
+    size_t i = 0;
+    while (i < sql.size()) {
+      size_t end = i;
+      while (digit(end)) ++end;
+      if (end == i || (i > 0 && sql[i - 1] != ' ') || sql[end] != '.' ||
+          !digit(end + 1)) {
+        out += sql[i++];
+        continue;
+      }
+      for (++end; digit(end);) ++end;
+      // The comparison operator ends one space before the literal.
+      const std::string op =
+          out.substr(out.find_last_of(' ', out.size() - 2) + 1);
+      bool up = op == "< " || op == ">= " ||
+                ((op == "= " || op == "<> ") && rng_.Chance(0.5));
+      double value = std::strtod(sql.c_str() + i, nullptr);
+      out += StrFormat("%.7f", value + (up ? 1e-7 : -1e-7));
+      i = end;
+    }
+    return out;
+  }
+
   // --- Differential checkpoint -------------------------------------------
 
   void DoCheckpoint() {
@@ -709,6 +768,11 @@ class FuzzRun : public TraceEngineHost {
       // Re-run an earlier query: exercises cache hits and compensation of
       // entries that aged across merges, splits, and fault storms.
       sql = query_pool_[rng_.UniformInt(0, query_pool_.size() - 1)];
+    } else if (!query_pool_.empty() && rng_.Chance(0.2)) {
+      // The previous query with its double literals nudged: a different
+      // query, which must not be served the previous query's entry (most
+      // likely still cached).
+      sql = NudgeDoubleLiterals(query_pool_.back());
     } else {
       sql = GenerateQuerySql();
       query_pool_.push_back(sql);
@@ -870,6 +934,9 @@ class FuzzRun : public TraceEngineHost {
   std::unique_ptr<TraceReplayer> replayer_;
   std::vector<FuzzTable> tables_;
   std::vector<std::string> query_pool_;
+  /// Double literals written to rows, by column name (unique across
+  /// tables).
+  std::map<std::string, std::vector<std::string>> written_doubles_;
   std::string trace_;
   std::string data_dir_;
   DurabilityOptions durability_options_;

@@ -82,37 +82,47 @@ TEST_F(CacheEntryTest, SplitChangesShape) {
   EXPECT_FALSE(entry.ShapeMatches(tables_));
 }
 
-TEST_F(CacheEntryTest, MergedMainResultUnionsPartials) {
+TEST_F(CacheEntryTest, PublishMainResultUnionsPartials) {
   CacheEntry entry = MakeEntry();
-  AggregateResult a(1);
-  a.Accumulate(GroupKey{{Value(int64_t{1})}}, {Value(int64_t{10})});
-  AggregateResult b(1);
-  b.Accumulate(GroupKey{{Value(int64_t{1})}}, {Value(int64_t{5})});
-  b.Accumulate(GroupKey{{Value(int64_t{2})}}, {Value(int64_t{7})});
+  AggregateResult a(2);
+  a.Accumulate(GroupKey{{Value(int64_t{1})}},
+               {Value(int64_t{10}), Value(int64_t{0})});
+  AggregateResult b(2);
+  b.Accumulate(GroupKey{{Value(int64_t{1})}},
+               {Value(int64_t{5}), Value(int64_t{0})});
+  b.Accumulate(GroupKey{{Value(int64_t{2})}},
+               {Value(int64_t{7}), Value(int64_t{0})});
   entry.main_partials()[{{0, PartitionKind::kMain},
                          {0, PartitionKind::kMain}}] = std::move(a);
   entry.main_partials()[{{1, PartitionKind::kMain},
                          {0, PartitionKind::kMain}}] = std::move(b);
-  AggregateResult merged = entry.MergedMainResult(1);
+  EXPECT_TRUE(entry.main_result().empty());  // Nothing published yet.
+  entry.PublishMainResult();
+  const AggregateResult& merged = entry.main_result();
   EXPECT_EQ(merged.num_groups(), 2u);
-  auto rows = merged.Rows({AggregateFunction::kSum});
+  auto rows =
+      merged.Rows({AggregateFunction::kSum, AggregateFunction::kCountStar});
   EXPECT_EQ(rows[0][1], Value(int64_t{15}));
+  EXPECT_EQ(rows[0][2], Value(int64_t{2}));
   EXPECT_EQ(rows[1][1], Value(int64_t{7}));
 }
 
-TEST_F(CacheEntryTest, RefreshSizeBytesCountsPartialsAndSnapshots) {
+TEST_F(CacheEntryTest, PublishMainResultCountsResultPartialsAndSnapshots) {
   CacheEntry entry = MakeEntry();
-  entry.RefreshSizeBytes();
+  entry.PublishMainResult();
   size_t baseline = entry.metrics().size_bytes;
   EXPECT_GT(baseline, 0u);
-  AggregateResult big(1);
+  AggregateResult big(2);
   for (int64_t g = 0; g < 200; ++g) {
-    big.Accumulate(GroupKey{{Value(g)}}, {Value(g)});
+    big.Accumulate(GroupKey{{Value(g)}}, {Value(g), Value(g)});
   }
+  size_t partial_bytes = big.ByteSize();
   entry.main_partials()[{{0, PartitionKind::kMain},
                          {0, PartitionKind::kMain}}] = std::move(big);
-  entry.RefreshSizeBytes();
-  EXPECT_GT(entry.metrics().size_bytes, baseline);
+  entry.PublishMainResult();
+  // The partial and the published union of it both count.
+  EXPECT_GE(entry.metrics().size_bytes,
+            baseline + partial_bytes + entry.main_result().ByteSize());
 }
 
 TEST_F(CacheEntryTest, MetricsProfitModel) {

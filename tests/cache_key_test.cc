@@ -48,5 +48,33 @@ TEST(CacheKeyTest, DifferentGroupByDifferentKeys) {
   EXPECT_FALSE(MakeCacheKey(a) == MakeCacheKey(b));
 }
 
+TEST(CacheKeyTest, NearbyDoubleOperandsDifferentKeys) {
+  // Below the 6th significant digit: a %.6g rendering made these equal.
+  AggregateQuery a = testing_util::HeaderItemQuery();
+  a.filters.push_back(
+      FilterPredicate{1, "Amount", CompareOp::kGt, Value(12.34 - 1e-9)});
+  AggregateQuery b = testing_util::HeaderItemQuery();
+  b.filters.push_back(
+      FilterPredicate{1, "Amount", CompareOp::kGt, Value(12.34 + 1e-9)});
+  EXPECT_FALSE(MakeCacheKey(a) == MakeCacheKey(b));
+  // Exact rendering still maps one double to one key.
+  AggregateQuery c = testing_util::HeaderItemQuery();
+  c.filters.push_back(
+      FilterPredicate{1, "Amount", CompareOp::kGt, Value(12.34 - 1e-9)});
+  EXPECT_EQ(MakeCacheKey(a), MakeCacheKey(c));
+}
+
+TEST(CacheKeyTest, StringOperandCannotSpellExtraFilters) {
+  AggregateQuery one = testing_util::HeaderItemQuery();
+  one.filters.push_back(FilterPredicate{0, "Lang", CompareOp::kEq,
+                                        Value("ENG'|F:t0.Region = 'X")});
+  AggregateQuery two = testing_util::HeaderItemQuery();
+  two.filters.push_back(
+      FilterPredicate{0, "Lang", CompareOp::kEq, Value("ENG")});
+  two.filters.push_back(
+      FilterPredicate{0, "Region", CompareOp::kEq, Value("X")});
+  EXPECT_FALSE(MakeCacheKey(one) == MakeCacheKey(two));
+}
+
 }  // namespace
 }  // namespace aggcache

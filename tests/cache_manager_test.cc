@@ -493,6 +493,165 @@ TEST_F(CacheManagerTest, MergeSkipsEntriesNotReferencingMergedTable) {
   ExpectAllStrategiesAgree(&db_, cache_.get(), other_query);
 }
 
+// --- Exact cache keys -------------------------------------------------------
+
+// Two filters a hair either side of a real price are different queries. A
+// key that rendered doubles with 6 significant digits gave both one entry,
+// so the second query was answered with the first one's cached groups.
+TEST_F(CacheManagerTest, NearbyDoubleFiltersGetTheirOwnEntries) {
+  const double price = 12.34;
+  ASSERT_OK(testing_util::InsertBusinessObject(&db_, header_, item_, 30, 2014,
+                                               3, price, &next_item_id_));
+  ASSERT_OK(db_.MergeTables({"Header", "Item"}));
+  AggregateQuery below = query_;
+  below.filters.push_back(
+      FilterPredicate{1, "Amount", CompareOp::kGt, Value(price - 1e-9)});
+  AggregateQuery above = query_;
+  above.filters.push_back(
+      FilterPredicate{1, "Amount", CompareOp::kGt, Value(price + 1e-9)});
+  ASSERT_NE(MakeCacheKey(below).canonical, MakeCacheKey(above).canonical);
+
+  Transaction txn = db_.Begin();
+  ExecutionOptions uncached;
+  uncached.strategy = ExecutionStrategy::kUncached;
+  for (const AggregateQuery* q : {&below, &above}) {
+    auto cached = Execute(*cache_, *q, txn);
+    ASSERT_TRUE(cached.ok()) << cached.status();
+    EXPECT_TRUE(stats_.entry_created);
+    auto expected = cache_->Execute(*q, txn, uncached);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    std::string diff;
+    EXPECT_TRUE(cached->ApproxEquals(*expected, 1e-9, &diff)) << diff;
+  }
+  EXPECT_EQ(cache_->num_entries(), 2u);
+}
+
+// A string literal that spells out the rendering of two filters must not
+// share the entry of the two-filter query.
+TEST_F(CacheManagerTest, CraftedStringLiteralDoesNotShareTwoFilterEntry) {
+  ASSERT_OK_AND_ASSIGN(Table * tag,
+                       db_.CreateTable(SchemaBuilder("Tag")
+                                           .AddColumn("TagID",
+                                                      ColumnType::kInt64)
+                                           .PrimaryKey()
+                                           .AddColumn("Lang",
+                                                      ColumnType::kString)
+                                           .AddColumn("Region",
+                                                      ColumnType::kString)
+                                           .Build()));
+  const std::string crafted = "ENG'|F:t0.Region = 'X";
+  Transaction load = db_.Begin();
+  ASSERT_OK(tag->Insert(load, {Value(int64_t{1}), Value("ENG"), Value("X")}));
+  ASSERT_OK(tag->Insert(load, {Value(int64_t{2}), Value("ENG"), Value("X")}));
+  ASSERT_OK(tag->Insert(load, {Value(int64_t{3}), Value(crafted), Value("Y")}));
+  ASSERT_OK(db_.Merge("Tag"));
+
+  AggregateQuery one_filter = QueryBuilder()
+                                  .From("Tag")
+                                  .Filter("Tag", "Lang", CompareOp::kEq,
+                                          Value(crafted))
+                                  .GroupBy("Tag", "Lang")
+                                  .CountStar("n")
+                                  .Build();
+  AggregateQuery two_filters = QueryBuilder()
+                                   .From("Tag")
+                                   .Filter("Tag", "Lang", CompareOp::kEq,
+                                           Value("ENG"))
+                                   .Filter("Tag", "Region", CompareOp::kEq,
+                                           Value("X"))
+                                   .GroupBy("Tag", "Lang")
+                                   .CountStar("n")
+                                   .Build();
+  ASSERT_NE(MakeCacheKey(one_filter).canonical,
+            MakeCacheKey(two_filters).canonical);
+  Transaction txn = db_.Begin();
+  ASSERT_TRUE(Execute(*cache_, one_filter, txn).ok());
+  ExpectAllStrategiesAgree(&db_, cache_.get(), one_filter);
+  ExpectAllStrategiesAgree(&db_, cache_.get(), two_filters);
+}
+
+// --- The published main result -----------------------------------------------
+
+std::vector<std::vector<Value>> RowsOf(const AggregateResult& result) {
+  return result.Rows({AggregateFunction::kSum, AggregateFunction::kCountStar});
+}
+
+/// The entry's published result must equal a fresh union of its partials.
+void ExpectPublishedMatchesPartials(const CacheEntry& entry) {
+  AggregateResult fresh(entry.query().aggregates.size());
+  for (const auto& [combo, partial] : entry.main_partials()) {
+    fresh.MergeFrom(partial);
+  }
+  std::string diff;
+  EXPECT_TRUE(entry.main_result().ApproxEquals(fresh, 0.0, &diff)) << diff;
+}
+
+TEST_F(CacheManagerTest, MutatingAHitDoesNotChangeTheNextHit) {
+  Transaction txn = db_.Begin();
+  ASSERT_TRUE(Execute(*cache_, query_, txn).ok());
+  auto first = Execute(*cache_, query_, txn);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(stats_.cache_hit);
+  const auto expected = RowsOf(*first);
+
+  AggregateResult extra(2);
+  extra.Accumulate(GroupKey{{Value(int64_t{2013})}},
+                   {Value(100.0), Value(int64_t{0})});
+  extra.Accumulate(GroupKey{{Value(int64_t{1999})}},
+                   {Value(1.0), Value(int64_t{0})});
+  first->MergeFrom(extra);
+  auto second = Execute(*cache_, query_, txn);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(RowsOf(*second), expected);
+
+  AggregateResult all = *second;
+  ASSERT_OK(second->SubtractFrom(all));  // Empties the caller's copy.
+  EXPECT_TRUE(second->empty());
+  auto third = Execute(*cache_, query_, txn);
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(RowsOf(*third), expected);
+  ExpectPublishedMatchesPartials(*cache_->Find(query_));
+}
+
+TEST_F(CacheManagerTest, ResultTakenBeforeMaintenanceKeepsItsGroups) {
+  Transaction txn = db_.Begin();
+  ASSERT_TRUE(Execute(*cache_, query_, txn).ok());
+  auto held = Execute(*cache_, query_, txn);
+  ASSERT_TRUE(held.ok());
+  const auto held_rows = RowsOf(*held);
+  auto expect_maintained = [&](const char* what) {
+    SCOPED_TRACE(what);
+    ExpectAllStrategiesAgree(&db_, cache_.get(), query_);
+    const CacheEntry* entry = cache_->Find(query_);
+    ASSERT_NE(entry, nullptr);
+    ExpectPublishedMatchesPartials(*entry);
+    EXPECT_EQ(RowsOf(*held), held_rows);
+  };
+
+  // Merge fold: the merging delta is folded into the partials.
+  ASSERT_OK(testing_util::InsertBusinessObject(&db_, header_, item_, 11, 2013,
+                                               2, 3.0, &next_item_id_));
+  ASSERT_OK(db_.MergeTables({"Header", "Item"}));
+  expect_maintained("merge fold");
+
+  // Main correction: a header in main is deleted.
+  Transaction del = db_.Begin();
+  ASSERT_OK(header_->DeleteByPk(del, Value(int64_t{1})));
+  Transaction after_delete = db_.Begin();
+  ASSERT_TRUE(Execute(*cache_, query_, after_delete).ok());
+  EXPECT_FALSE(stats_.entry_rebuilt);
+  expect_maintained("main correction");
+
+  // Hot/cold split: the entry's shape changes and it is rebuilt.
+  ASSERT_OK(header_->SplitHotCold("HeaderID", Value(int64_t{6})));
+  ASSERT_OK(item_->SplitHotCold("HeaderID", Value(int64_t{6})));
+  db_.RegisterAgingGroup({"Header", "Item"});
+  Transaction after_split = db_.Begin();
+  ASSERT_TRUE(Execute(*cache_, query_, after_split).ok());
+  EXPECT_TRUE(stats_.entry_rebuilt);
+  expect_maintained("hot/cold rebuild");
+}
+
 TEST_F(CacheManagerTest, StrategyNames) {
   EXPECT_STREQ(ExecutionStrategyToString(ExecutionStrategy::kUncached),
                "uncached");

@@ -120,6 +120,78 @@ TEST_F(ConcurrentStressTest, ReadersAgreeWithUncachedDuringMerges) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+TEST_F(ConcurrentStressTest, ReadersParseAndShareHitsWhileWriterMerges) {
+  // Readers go through the statement cache and take the entries' shared
+  // main results, then write to their copies; a writer inserts, deletes
+  // main rows and merges, so the entries are folded, corrected and
+  // republished under the readers. Every cached answer must still equal
+  // the uncached one at the same snapshot.
+  //
+  // A plain delete becomes visible when its statement ends, even to a
+  // snapshot taken after its Begin, so the two Execute calls of a reader
+  // that overlaps a delete may see different states. delete_epoch is odd
+  // while a delete is in flight; only readers that saw it even and
+  // unchanged around both calls compare their answers.
+  AggregateCacheManager cache(&db_);
+  std::atomic<uint64_t> delete_epoch{0};
+  const std::vector<std::string> statements = {
+      "SELECT FiscalYear, SUM(Amount) AS r, COUNT(*) AS n FROM Header, Item "
+      "WHERE Header.HeaderID = Item.HeaderID GROUP BY FiscalYear",
+      "SELECT FiscalYear, SUM(Amount) AS r, COUNT(*) AS n FROM Header, Item "
+      "WHERE Header.HeaderID = Item.HeaderID AND Amount > 20.0 "
+      "GROUP BY FiscalYear",
+  };
+  std::atomic<int> mismatches{0};
+  std::atomic<bool> stop{false};
+  constexpr int kReaders = 4;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      ExecutionOptions uncached;
+      uncached.strategy = ExecutionStrategy::kUncached;
+      for (size_t i = t; !stop.load(std::memory_order_relaxed); ++i) {
+        auto stmt = ParseStatement(statements[i % statements.size()], db_);
+        if (!stmt.ok()) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        const uint64_t epoch = delete_epoch.load();
+        Transaction txn = db_.Begin();
+        auto expected = cache.Execute(stmt->select, txn, uncached);
+        auto hit = cache.Execute(stmt->select, txn);
+        if (!expected.ok() || !hit.ok()) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        if (delete_epoch.load() == epoch && epoch % 2 == 0 &&
+            !hit->ApproxEquals(*expected, 1e-9)) {
+          mismatches.fetch_add(1);
+        }
+        // Writing to the copy must reach neither the entry nor any other
+        // reader's copy.
+        AggregateResult copy = *hit;
+        hit->MergeFrom(copy);
+      }
+    });
+  }
+  for (int round = 0; round < 6; ++round) {
+    ASSERT_OK(testing_util::InsertBusinessObject(
+        &db_, header_, item_, 100 + round, 2012 + round % 3, 2, 30.0 + round,
+        &next_item_id_));
+    ASSERT_OK(db_.MergeTables({"Header", "Item"}));
+    delete_epoch.fetch_add(1);
+    {
+      Transaction del = db_.Begin();
+      ASSERT_OK(header_->DeleteByPk(del, Value(int64_t{round + 1})));
+    }
+    delete_epoch.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  stop.store(true);
+  for (std::thread& thread : readers) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 TEST_F(ConcurrentStressTest, EvictionChurnNeverCorruptsReaders) {
   // One slot, two cacheable queries: every other execution evicts the
   // peer's entry while its readers may still hold the value shared_ptr.

@@ -247,5 +247,66 @@ TEST_F(ParserTest, ApplyRejectsSelect) {
   EXPECT_FALSE(ApplyStatement(*stmt, &db_).ok());
 }
 
+// --- Statement cache ---------------------------------------------------
+
+TEST_F(ParserTest, FailedParseIsNotCachedAndSucceedsAfterCreateTable) {
+  const std::string sql =
+      "SELECT Tag.Lang, COUNT(*) AS n FROM Tag GROUP BY Tag.Lang";
+  EXPECT_FALSE(Parse(sql).ok());
+  ASSERT_OK(ApplyStatement(
+      Parse("CREATE TABLE Tag (TagID BIGINT PRIMARY KEY, Lang VARCHAR)")
+          .value(),
+      &db_));
+  auto stmt = Parse(sql);
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  EXPECT_EQ(stmt->select.tables[0].table_name, "Tag");
+  // The second parse is served from the cache and is the same statement.
+  auto again = Parse(sql);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->select.CanonicalString(), stmt->select.CanonicalString());
+}
+
+TEST_F(ParserTest, NewDatabaseNeverSeesAnotherDatabasesStatement) {
+  // One SQL text, bound against two catalogs that disagree about it: in the
+  // first, Item has a DOUBLE column Amount; in the second it has none. The
+  // second database is created right after the first is freed, so it often
+  // lands at the same address; its instance id still differs.
+  const std::string sql =
+      "SELECT HeaderID, SUM(Amount) AS s FROM Item GROUP BY HeaderID";
+  auto make_item_db = [](bool with_amount) {
+    auto db = std::make_unique<Database>();
+    SchemaBuilder item("Item");
+    item.AddColumn("HeaderID", ColumnType::kInt64);
+    if (with_amount) item.AddColumn("Amount", ColumnType::kDouble);
+    EXPECT_TRUE(db->CreateTable(item.Build()).ok());
+    return db;
+  };
+  for (int round = 0; round < 3; ++round) {
+    auto first = make_item_db(true);
+    const uint64_t first_id = first->instance_id();
+    ASSERT_TRUE(ParseStatement(sql, *first).ok());
+    ASSERT_TRUE(ParseStatement(sql, *first).ok());  // Now a cache hit.
+    first.reset();
+    auto second = make_item_db(false);
+    EXPECT_NE(second->instance_id(), first_id);
+    EXPECT_FALSE(ParseStatement(sql, *second).ok());
+  }
+}
+
+TEST_F(ParserTest, StatementCacheStaysWithinCapacity) {
+  for (size_t i = 0; i < kStatementCacheCapacity + 10; ++i) {
+    auto stmt = Parse(
+        "SELECT FiscalYear, COUNT(*) FROM Header WHERE HeaderID <> " +
+        std::to_string(i) + " GROUP BY FiscalYear");
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    ASSERT_LE(StatementCacheSize(), kStatementCacheCapacity);
+  }
+  EXPECT_GT(StatementCacheSize(), 0u);
+  // Only SELECT and EXPLAIN are kept; INSERT and CREATE TABLE are not.
+  size_t before = StatementCacheSize();
+  ASSERT_TRUE(Parse("INSERT INTO Header VALUES (1, 2013)").ok());
+  EXPECT_EQ(StatementCacheSize(), before);
+}
+
 }  // namespace
 }  // namespace aggcache
