@@ -134,7 +134,6 @@ void Run(BenchContext& ctx) {
       Database& db = *setup.db;
       BoundQuery bound =
           CheckOk(BoundQuery::Bind(db, setup.query), "bind");
-      std::vector<MdBinding> mds = ResolveMds(bound);
       SubjoinCombination delta_main = {{0, PartitionKind::kDelta},
                                        {0, PartitionKind::kMain}};
       Snapshot now = db.txn_manager().GlobalSnapshot();
@@ -156,7 +155,7 @@ void Run(BenchContext& ctx) {
                 "regular");
       });
       std::vector<FilterPredicate> filters =
-          DerivePushdownFilters(bound, mds, delta_main);
+          DerivePushdownFilters(bound, delta_main);
       LatencyStats pushed = MeasureMs(kReps, [&] {
         CheckOk(executor.ExecuteSubjoin(bound, delta_main, now, filters)
                     .status(),

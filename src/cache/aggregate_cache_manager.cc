@@ -55,14 +55,14 @@ PruneLevel PruneLevelFor(ExecutionStrategy strategy) {
   return PruneLevel::kNone;
 }
 
-/// Cheap membership test on table names — avoids re-binding every cached
-/// query against the catalog on every merge just to discover the entry does
-/// not reference the merged table.
-bool QueryUsesTable(const AggregateQuery& query, const Table& table) {
-  for (const TableRef& ref : query.tables) {
-    if (ref.table_name == table.name()) return true;
-  }
-  return false;
+/// Query-table index of `table` in the entry's binding, or nullopt when
+/// the entry does not read it: the merge observers' membership test.
+std::optional<size_t> TablePosition(const CacheEntry& entry,
+                                    const Table& table) {
+  const std::vector<const Table*>& tables = entry.bound().tables;
+  auto it = std::find(tables.begin(), tables.end(), &table);
+  if (it == tables.end()) return std::nullopt;
+  return static_cast<size_t>(it - tables.begin());
 }
 
 /// The snapshot to (re)build an entry at for a caller reading at
@@ -228,19 +228,28 @@ void AggregateCacheManager::AssertByteAccountingLocked() const {
 #endif
 }
 
-void AggregateCacheManager::PublishEntry(CacheEntry& entry) {
-  std::lock_guard<std::mutex> lock(bytes_mu_);
+void AggregateCacheManager::SetBytesAccountedLocked(CacheEntry& entry,
+                                                    bool accounted) {
+  if (entry.bytes_accounted == accounted) return;
   // The Cache() tracker mirrors total_bytes_ exactly, so process-level
   // pressure sees cached values alongside query reservations.
-  if (entry.bytes_accounted) {
-    total_bytes_ -= entry.metrics().size_bytes;
-    MemoryTracker::Cache().Release(entry.metrics().size_bytes);
+  size_t bytes = entry.metrics().size_bytes;
+  if (accounted) {
+    total_bytes_ += bytes;
+    MemoryTracker::Cache().Reserve(bytes);
+  } else {
+    total_bytes_ -= bytes;
+    MemoryTracker::Cache().Release(bytes);
   }
+  entry.bytes_accounted = accounted;
+}
+
+void AggregateCacheManager::PublishEntry(CacheEntry& entry) {
+  std::lock_guard<std::mutex> lock(bytes_mu_);
+  const bool accounted = entry.bytes_accounted;
+  SetBytesAccountedLocked(entry, false);
   entry.PublishMainResult();
-  if (entry.bytes_accounted) {
-    total_bytes_ += entry.metrics().size_bytes;
-    MemoryTracker::Cache().Reserve(entry.metrics().size_bytes);
-  }
+  SetBytesAccountedLocked(entry, accounted);
 }
 
 void AggregateCacheManager::Clear() {
@@ -252,11 +261,7 @@ void AggregateCacheManager::Clear() {
     for (auto& [key, entry] : shard.entries) {
       {
         std::lock_guard<std::mutex> bytes_lock(bytes_mu_);
-        if (entry->bytes_accounted) {
-          total_bytes_ -= entry->metrics().size_bytes;
-          MemoryTracker::Cache().Release(entry->metrics().size_bytes);
-          entry->bytes_accounted = false;
-        }
+        SetBytesAccountedLocked(*entry, false);
       }
       // In-flight creators notice the eviction at finalization (their
       // residency check fails); waiters wake, see kEvicted, and retry.
@@ -334,20 +339,16 @@ void AggregateCacheManager::RemoveEntry(
   if (it == shard.entries.end() || it->second != entry) return;
   {
     std::lock_guard<std::mutex> bytes_lock(bytes_mu_);
-    if (entry->bytes_accounted) {
-      total_bytes_ -= entry->metrics().size_bytes;
-      MemoryTracker::Cache().Release(entry->metrics().size_bytes);
-      entry->bytes_accounted = false;
-    }
+    SetBytesAccountedLocked(*entry, false);
   }
   shard.entries.erase(it);
 }
 
 Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
-                                           const BoundQuery& bound,
                                            Snapshot snapshot,
                                            CacheExecStats* stats) {
   RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("cache.build"));
+  const BoundQuery& bound = entry.bound();
   EngineMetrics::Get().cache_rebuilds->Increment();
   Phase build(SpanKind::kEntryBuild);
   entry.main_partials().clear();
@@ -358,8 +359,7 @@ Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
   std::vector<SubjoinCombination> combos =
       EnumerateAllMainCombinations(bound.tables);
   std::vector<SubjoinTask> tasks = PlanSubjoins(
-      bound, ResolveMds(bound), combos, &pruner, /*use_pushdown=*/false,
-      "build");
+      bound, combos, &pruner, /*use_pushdown=*/false, "build");
   ExecutorStats exec_stats;
   ASSIGN_OR_RETURN(std::vector<AggregateResult> partials,
                    executor_.ExecuteSubjoins(bound, tasks, snapshot, "build",
@@ -372,7 +372,7 @@ Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
   for (size_t i = 0; i < tasks.size(); ++i) {
     entry.main_partials()[tasks[i].combination] = std::move(partials[i]);
   }
-  RefreshSnapshots(entry, bound, snapshot);
+  RefreshSnapshots(entry, snapshot);
   PublishEntry(entry);
   build.End();
   entry.metrics().main_exec_ms = build.elapsed_ms();
@@ -388,8 +388,8 @@ Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
 }
 
 void AggregateCacheManager::RefreshSnapshots(CacheEntry& entry,
-                                             const BoundQuery& bound,
                                              Snapshot snapshot) {
+  const BoundQuery& bound = entry.bound();
   entry.snapshots().clear();
   entry.snapshots().resize(bound.tables.size());
   for (size_t t = 0; t < bound.tables.size(); ++t) {
@@ -439,7 +439,7 @@ StatusOr<std::shared_ptr<CacheEntry>> AggregateCacheManager::GetOrCreateEntry(
         // Insert a kBuilding placeholder while still holding the shard
         // lock: concurrent misses on this key find it and wait instead of
         // building the same aggregate N times (single-flight).
-        entry = std::make_shared<CacheEntry>(key, *bound.query);
+        entry = std::make_shared<CacheEntry>(key, bound);
         shard.entries.emplace(key, entry);
         creator = true;
       }
@@ -476,7 +476,7 @@ StatusOr<std::shared_ptr<CacheEntry>> AggregateCacheManager::GetOrCreateEntry(
     {
       std::unique_lock<std::shared_mutex> value_lock(entry->value_mutex());
       build_status = RebuildEntry(
-          *entry, bound, EntryBuildSnapshot(*db_, bound, snapshot), stats);
+          *entry, EntryBuildSnapshot(*db_, bound, snapshot), stats);
     }
     if (!build_status.ok()) {
       RemoveEntry(entry);
@@ -527,9 +527,7 @@ StatusOr<std::shared_ptr<CacheEntry>> AggregateCacheManager::GetOrCreateEntry(
       resident = it != shard.entries.end() && it->second == entry;
       if (resident) {
         std::lock_guard<std::mutex> bytes_lock(bytes_mu_);
-        entry->bytes_accounted = true;
-        total_bytes_ += entry->metrics().size_bytes;
-        MemoryTracker::Cache().Reserve(entry->metrics().size_bytes);
+        SetBytesAccountedLocked(*entry, true);
       }
     }
     entry->SetState(resident ? EntryState::kReady : EntryState::kEvicted);
@@ -544,17 +542,17 @@ StatusOr<std::shared_ptr<CacheEntry>> AggregateCacheManager::GetOrCreateEntry(
 }
 
 Status AggregateCacheManager::MainCompensate(CacheEntry& entry,
-                                             const BoundQuery& bound,
                                              Snapshot snapshot,
                                              CacheExecStats* stats) {
-  if (!entry.IsDirty(bound.tables)) return Status::Ok();
+  if (!entry.IsDirty()) return Status::Ok();
   Phase phase(SpanKind::kMainCorrection);
-  if (bound.tables.size() > 1 && !config_.incremental_join_main_compensation) {
+  if (entry.bound().tables.size() > 1 &&
+      !config_.incremental_join_main_compensation) {
     // The paper's baseline behaviour for join entries: recompute the entry.
-    RETURN_IF_ERROR(RebuildEntry(entry, bound, snapshot, stats));
+    RETURN_IF_ERROR(RebuildEntry(entry, snapshot, stats));
     if (stats != nullptr) stats->entry_rebuilt = true;
   } else {
-    RETURN_IF_ERROR(IncrementalMainCompensate(entry, bound, snapshot, stats));
+    RETURN_IF_ERROR(IncrementalMainCompensate(entry, snapshot, stats));
   }
   phase.End();
   if (stats != nullptr) stats->main_comp_ms += phase.elapsed_ms();
@@ -563,8 +561,8 @@ Status AggregateCacheManager::MainCompensate(CacheEntry& entry,
 }
 
 Status AggregateCacheManager::IncrementalMainCompensate(
-    CacheEntry& entry, const BoundQuery& bound, Snapshot snapshot,
-    CacheExecStats* stats) {
+    CacheEntry& entry, Snapshot snapshot, CacheExecStats* stats) {
+  const BoundQuery& bound = entry.bound();
   const size_t num_tables = bound.tables.size();
 
   // Invalidated ("negative delta") rows per (table, group) since the entry
@@ -614,7 +612,8 @@ Status AggregateCacheManager::IncrementalMainCompensate(
           task.restriction.rows[t] = negative[t][combo[t].group];
         }
       }
-      RecordSubjoin(bound, {}, combo, "main-correction", PruneDecision{}, {});
+      RecordSubjoin(bound, combo, "main-correction", PruneDecision{}, {},
+                    /*md_tid_ranges=*/false);
       tasks.push_back(std::move(task));
       task_partial.push_back(dirty_partials.size() - 1);
     }
@@ -782,12 +781,9 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
     if (trace != nullptr) trace->cache_outcome = outcome;
     lookup.reset();
     Phase exec(SpanKind::kUncachedExec);
-    // Every combination runs; the MDs only supply the trace's tid ranges,
-    // so an untraced read does not resolve them.
-    std::vector<MdBinding> mds;
-    if (trace != nullptr) mds = ResolveMds(bound);
+    // Every combination runs; the MDs only supply the trace's tid ranges.
     std::vector<SubjoinTask> tasks =
-        PlanSubjoins(bound, mds, EnumerateAllCombinations(bound.tables),
+        PlanSubjoins(bound, EnumerateAllCombinations(bound.tables),
                      /*pruner=*/nullptr, /*use_pushdown=*/false, "uncached");
     ExecutorStats exec_stats;
     auto partials = executor_.ExecuteSubjoins(
@@ -824,8 +820,8 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   bool have_main = false;
   {
     std::shared_lock<std::shared_mutex> value_lock(entry->value_mutex());
-    if (entry->base_tid() <= snapshot.read_tid &&
-        entry->ShapeMatches(bound.tables) && !entry->IsDirty(bound.tables)) {
+    if (entry->base_tid() <= snapshot.read_tid && entry->ShapeMatches() &&
+        !entry->IsDirty()) {
       main_result = entry->main_result();
       have_main = true;
       if (!stats->entry_created) stats->cache_hit = true;
@@ -833,14 +829,14 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   }
   if (!have_main) {
     std::unique_lock<std::shared_mutex> value_lock(entry->value_mutex());
-    if (!entry->ShapeMatches(bound.tables)) {
+    if (!entry->ShapeMatches()) {
       // Partition layout changed (hot/cold split or a failed maintenance
       // pass): rebuild from scratch. kRebuilding shields the entry from
       // eviction while the recompute runs.
       bool claimed =
           entry->TryTransition(EntryState::kReady, EntryState::kRebuilding);
       Status rebuild_status = RebuildEntry(
-          *entry, bound, EntryBuildSnapshot(*db_, bound, snapshot), stats);
+          *entry, EntryBuildSnapshot(*db_, bound, snapshot), stats);
       if (claimed) {
         entry->TryTransition(EntryState::kRebuilding, EntryState::kReady);
       }
@@ -860,12 +856,11 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
     if (!stats->entry_created && !stats->entry_rebuilt) {
       stats->cache_hit = true;
     }
-    RETURN_IF_ERROR(MainCompensate(*entry, bound, snapshot, stats));
+    RETURN_IF_ERROR(MainCompensate(*entry, snapshot, stats));
     // Take the published result before dropping the lock; a later
     // republish swaps in a new shared map and leaves this one intact.
     main_result = entry->main_result();
   }
-  TouchEntry(*entry);
   lookup->End();
 
   // Delta compensation needs no entry lock: it reads only table state,
@@ -873,10 +868,9 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   // the cached main result and HAVING.
   Phase delta(SpanKind::kDeltaCompensation);
   JoinPruner pruner(db_, PruneLevelFor(options.strategy));
-  std::vector<MdBinding> mds = ResolveMds(bound);
   ExecutorStats comp_stats;
   ASSIGN_OR_RETURN(AggregateResult delta_result,
-                   DeltaCompensate(executor_, bound, mds, pruner,
+                   DeltaCompensate(executor_, bound, pruner,
                                    options.use_predicate_pushdown, snapshot,
                                    &comp_stats));
   main_result.MergeFrom(delta_result);
@@ -976,7 +970,7 @@ Status AggregateCacheManager::Prewarm(const AggregateQuery& query) {
   }
   std::unique_lock<std::shared_mutex> value_lock(entry->value_mutex());
   if (entry->base_tid() > snapshot.read_tid) return Status::Ok();
-  return MainCompensate(*entry, bound, snapshot, nullptr);
+  return MainCompensate(*entry, snapshot, nullptr);
 }
 
 std::vector<AggregateCacheManager::LedgerEntry>
@@ -1108,11 +1102,7 @@ void AggregateCacheManager::EvictIfNeeded(const CacheEntry* keep) {
     }
     {
       std::lock_guard<std::mutex> bytes_lock(bytes_mu_);
-      if (entry->bytes_accounted) {
-        total_bytes_ -= entry->metrics().size_bytes;
-        MemoryTracker::Cache().Release(entry->metrics().size_bytes);
-        entry->bytes_accounted = false;
-      }
+      SetBytesAccountedLocked(*entry, false);
     }
     shard.entries.erase(it);
     EngineMetrics::Get().cache_evictions->Increment();
@@ -1218,32 +1208,17 @@ void AggregateCacheManager::OnBeforeMerge(Table& table, size_t group_index,
   // physical merge agree row-for-row even with atomic write scopes in
   // flight (their unstable rows are invisible here and stay in the delta).
   for (const std::shared_ptr<CacheEntry>& entry : SnapshotEntries()) {
-    // Skip entries that don't reference the merging table before paying for
-    // a catalog bind.
-    if (!QueryUsesTable(entry->query(), table)) continue;
+    std::optional<size_t> table_pos = TablePosition(*entry, table);
+    if (!table_pos) continue;
     std::unique_lock<std::shared_mutex> value_lock(entry->value_mutex());
-    Status bind_fault = FaultInjector::Global().MaybeFail("maintenance.bind");
-    auto bound_or = bind_fault.ok() ? BoundQuery::Bind(*db_, entry->query())
-                                    : StatusOr<BoundQuery>(bind_fault);
-    if (!bound_or.ok()) {
-      RecordMaintenanceFailure(*entry, bound_or.status());
-      continue;
-    }
-    BoundQuery bound = std::move(bound_or).value();
-    size_t table_pos = bound.tables.size();
-    for (size_t t = 0; t < bound.tables.size(); ++t) {
-      if (bound.tables[t] == &table) table_pos = t;
-    }
-    if (table_pos == bound.tables.size()) continue;
-
     Stopwatch watch;
-    if (!entry->ShapeMatches(bound.tables)) {
+    if (!entry->ShapeMatches()) {
       // Stale shape; rebuild now, the delta rows are still visible so the
       // rebuilt entry is folded below only if needed. Rebuilding computes
       // mains only, so fold the delta in unconditionally afterwards.
       Status status =
           FaultInjector::Global().MaybeFail("maintenance.rebuild");
-      if (status.ok()) status = RebuildEntry(*entry, bound, snapshot, nullptr);
+      if (status.ok()) status = RebuildEntry(*entry, snapshot, nullptr);
       if (!status.ok()) {
         RecordMaintenanceFailure(*entry, status);
         continue;
@@ -1252,7 +1227,7 @@ void AggregateCacheManager::OnBeforeMerge(Table& table, size_t group_index,
       Status status =
           FaultInjector::Global().MaybeFail("maintenance.compensate");
       if (status.ok()) {
-        status = MainCompensate(*entry, bound, snapshot, nullptr);
+        status = MainCompensate(*entry, snapshot, nullptr);
       }
       if (!status.ok()) {
         RecordMaintenanceFailure(*entry, status);
@@ -1267,16 +1242,16 @@ void AggregateCacheManager::OnBeforeMerge(Table& table, size_t group_index,
     // partials as they were (and the entry marked for rebuild).
     std::vector<SubjoinCombination> delta_combos;
     for (const auto& [combo, partial] : entry->main_partials()) {
-      if (combo[table_pos].group != group_index) continue;
+      if (combo[*table_pos].group != group_index) continue;
       delta_combos.push_back(combo);
-      delta_combos.back()[table_pos].kind = PartitionKind::kDelta;
+      delta_combos.back()[*table_pos].kind = PartitionKind::kDelta;
     }
     JoinPruner pruner(db_, PruneLevel::kFull);
     std::vector<SubjoinTask> tasks =
-        PlanSubjoins(bound, ResolveMds(bound), std::move(delta_combos),
-                     &pruner, /*use_pushdown=*/false, "fold");
-    auto folds = executor_.ExecuteSubjoins(bound, tasks, snapshot, "fold",
-                                           "maintenance.fold",
+        PlanSubjoins(entry->bound(), std::move(delta_combos), &pruner,
+                     /*use_pushdown=*/false, "fold");
+    auto folds = executor_.ExecuteSubjoins(entry->bound(), tasks, snapshot,
+                                           "fold", "maintenance.fold",
                                            /*stats=*/nullptr);
     if (!folds.ok()) {
       RecordMaintenanceFailure(*entry, folds.status());
@@ -1284,7 +1259,7 @@ void AggregateCacheManager::OnBeforeMerge(Table& table, size_t group_index,
     }
     for (size_t i = 0; i < tasks.size(); ++i) {
       SubjoinCombination& combo = tasks[i].combination;
-      combo[table_pos].kind = PartitionKind::kMain;
+      combo[*table_pos].kind = PartitionKind::kMain;
       entry->main_partials().at(combo).MergeFrom((*folds)[i]);
     }
     PublishEntry(*entry);
@@ -1297,23 +1272,10 @@ void AggregateCacheManager::OnAfterMerge(Table& table, size_t group_index,
                                          const Snapshot& snapshot) {
   (void)group_index;
   for (const std::shared_ptr<CacheEntry>& entry : SnapshotEntries()) {
-    if (!QueryUsesTable(entry->query(), table)) continue;
+    if (!TablePosition(*entry, table)) continue;
     if (entry->needs_rebuild()) continue;  // Deferred to the next access.
     std::unique_lock<std::shared_mutex> value_lock(entry->value_mutex());
-    Status bind_fault = FaultInjector::Global().MaybeFail("maintenance.bind");
-    auto bound_or = bind_fault.ok() ? BoundQuery::Bind(*db_, entry->query())
-                                    : StatusOr<BoundQuery>(bind_fault);
-    if (!bound_or.ok()) {
-      RecordMaintenanceFailure(*entry, bound_or.status());
-      continue;
-    }
-    BoundQuery bound = std::move(bound_or).value();
-    bool uses_table = false;
-    for (const Table* t : bound.tables) {
-      if (t == &table) uses_table = true;
-    }
-    if (!uses_table) continue;
-    RefreshSnapshots(*entry, bound, snapshot);
+    RefreshSnapshots(*entry, snapshot);
     PublishEntry(*entry);
   }
 }
@@ -1326,7 +1288,7 @@ void AggregateCacheManager::OnMergeAborted(Table& table, size_t group_index) {
   // partials), so every entry touching the table degrades to a rebuild on
   // next access.
   for (const std::shared_ptr<CacheEntry>& entry : SnapshotEntries()) {
-    if (!QueryUsesTable(entry->query(), table)) continue;
+    if (!TablePosition(*entry, table)) continue;
     RecordMaintenanceFailure(
         *entry, Status::Internal("merge of '" + table.name() +
                                  "' aborted after forward maintenance"));

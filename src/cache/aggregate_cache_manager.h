@@ -230,7 +230,8 @@ class AggregateCacheManager : public MergeObserver,
                                             PruneStats* prune_acc);
 
   /// Returns the entry for the bound query (whose cache key is `key`),
-  /// building it on a miss with single-flight semantics. Returns nullptr
+  /// building it on a miss with single-flight semantics; a new entry keeps
+  /// a copy of `bound` for life. Returns nullptr
   /// when the admission policy rejects the aggregate or repeated evictions
   /// starve this caller (the caller then answers uncached).
   StatusOr<std::shared_ptr<CacheEntry>> GetOrCreateEntry(
@@ -238,17 +239,19 @@ class AggregateCacheManager : public MergeObserver,
       CacheExecStats* stats);
 
   /// Recomputes all main partials and snapshots under `snapshot`, adding
-  /// its subjoins and build time to `stats` when given. Caller holds the
-  /// entry's value lock exclusively.
-  Status RebuildEntry(CacheEntry& entry, const BoundQuery& bound,
-                      Snapshot snapshot, CacheExecStats* stats);
+  /// its subjoins and build time to `stats` when given. This and the
+  /// maintenance functions below read the entry's own binding
+  /// (CacheEntry::bound()). Caller holds the entry's value lock
+  /// exclusively.
+  Status RebuildEntry(CacheEntry& entry, Snapshot snapshot,
+                      CacheExecStats* stats);
 
   /// Applies pending main-partition invalidations to the entry through
   /// IncrementalMainCompensate, or — for join entries when the config turns
   /// incremental join compensation off — through a full rebuild. Caller
   /// holds the entry's value lock exclusively.
-  Status MainCompensate(CacheEntry& entry, const BoundQuery& bound,
-                        Snapshot snapshot, CacheExecStats* stats);
+  Status MainCompensate(CacheEntry& entry, Snapshot snapshot,
+                        CacheExecStats* stats);
 
   /// Incremental main compensation (Section 2.2): the bit-vector diff of
   /// each dirty main partition yields its invalidated ("negative delta")
@@ -263,12 +266,13 @@ class AggregateCacheManager : public MergeObserver,
   /// sets are tiny, so each correction is cheap — for join entries this
   /// realizes the paper's Section 8 proposal. A single-table entry is the
   /// one-table case: one correction per dirty group, over its N_i alone.
-  Status IncrementalMainCompensate(CacheEntry& entry, const BoundQuery& bound,
-                                   Snapshot snapshot, CacheExecStats* stats);
+  Status IncrementalMainCompensate(CacheEntry& entry, Snapshot snapshot,
+                                   CacheExecStats* stats);
 
-  void RefreshSnapshots(CacheEntry& entry, const BoundQuery& bound,
-                        Snapshot snapshot);
+  void RefreshSnapshots(CacheEntry& entry, Snapshot snapshot);
 
+  /// Stamps the entry's recency for eviction tie-breaks; GetOrCreateEntry
+  /// calls it once per lookup that returns an entry.
   void TouchEntry(CacheEntry& entry);
   void EvictIfNeeded(const CacheEntry* keep = nullptr);
 
@@ -278,6 +282,12 @@ class AggregateCacheManager : public MergeObserver,
   /// CacheEntry::bytes_accounted). Called under the exclusive value lock
   /// after every change to the partials or snapshots.
   void PublishEntry(CacheEntry& entry);
+
+  /// The one place an entry's bytes enter or leave total_bytes_ and the
+  /// Cache() memory tracker: sets entry.bytes_accounted to `accounted`,
+  /// adding or removing its size_bytes when the flag flips. Caller holds
+  /// bytes_mu_.
+  void SetBytesAccountedLocked(CacheEntry& entry, bool accounted);
 
   /// Removes `entry` from its shard if still resident (deaccounting its
   /// bytes) — used when a build fails or admission rejects it.

@@ -5,7 +5,8 @@
 
 namespace aggcache {
 
-bool CacheEntry::IsDirty(const std::vector<const Table*>& tables) const {
+bool CacheEntry::IsDirty() const {
+  const std::vector<const Table*>& tables = bound_.tables;
   AGGCACHE_CHECK_EQ(tables.size(), snapshots_.size());
   for (size_t t = 0; t < tables.size(); ++t) {
     for (size_t g = 0; g < snapshots_[t].size(); ++g) {
@@ -18,7 +19,8 @@ bool CacheEntry::IsDirty(const std::vector<const Table*>& tables) const {
   return false;
 }
 
-bool CacheEntry::ShapeMatches(const std::vector<const Table*>& tables) const {
+bool CacheEntry::ShapeMatches() const {
+  const std::vector<const Table*>& tables = bound_.tables;
   if (needs_rebuild_) return false;
   if (snapshots_.size() != tables.size()) return false;
   for (size_t t = 0; t < tables.size(); ++t) {

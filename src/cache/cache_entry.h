@@ -13,6 +13,7 @@
 #include "common/bit_vector.h"
 #include "obs/flight_recorder.h"
 #include "query/aggregate_result.h"
+#include "query/executor.h"
 #include "query/subjoin.h"
 #include "txn/types.h"
 
@@ -56,29 +57,23 @@ enum class EntryState : uint8_t {
 /// callers hold the value lock.
 class CacheEntry {
  public:
-  CacheEntry(CacheKey key, AggregateQuery query)
-      : key_(std::move(key)), query_(std::move(query)) {}
-
-  /// Moving is for single-threaded construction code (tests, prewarm
-  /// helpers) only: the synchronization members are NOT moved — the
-  /// destination starts with fresh locks and the source's state.
-  CacheEntry(CacheEntry&& other) noexcept
-      : key_(std::move(other.key_)),
-        query_(std::move(other.query_)),
-        main_partials_(std::move(other.main_partials_)),
-        main_result_(std::move(other.main_result_)),
-        snapshots_(std::move(other.snapshots_)),
-        metrics_(other.metrics_),
-        base_tid_(other.base_tid_),
-        state_(other.state_),
-        needs_rebuild_(
-            other.needs_rebuild_.load(std::memory_order_relaxed)) {}
+  /// Keeps a copy of `bound` and of its query for the entry's whole life:
+  /// the catalog only grows, so the binding never goes stale, and
+  /// maintenance reads it instead of re-binding. The copy's query pointer
+  /// is re-pointed at the entry's own query, so an entry is never copied or
+  /// moved; it lives where it was constructed.
+  CacheEntry(CacheKey key, const BoundQuery& bound)
+      : key_(std::move(key)), query_(*bound.query), bound_(bound) {
+    bound_.query = &query_;
+  }
 
   CacheEntry(const CacheEntry&) = delete;
   CacheEntry& operator=(const CacheEntry&) = delete;
 
   const CacheKey& key() const { return key_; }
   const AggregateQuery& query() const { return query_; }
+  /// The entry's query bound against the catalog, MDs included.
+  const BoundQuery& bound() const { return bound_; }
 
   /// Visibility snapshot of one main partition at entry (re)computation.
   struct MainSnapshot {
@@ -120,12 +115,13 @@ class CacheEntry {
   /// True when any referenced main partition saw invalidations since the
   /// snapshot was taken (the dirty counter is non-zero), i.e. main
   /// compensation is required before the entry can be used.
-  bool IsDirty(const std::vector<const Table*>& tables) const;
+  bool IsDirty() const;
 
-  /// True when the stored snapshot structure still matches the tables'
-  /// partition-group layout (a hot/cold split changes it; the entry must
-  /// then be rebuilt). Also false while the entry is marked for rebuild.
-  bool ShapeMatches(const std::vector<const Table*>& tables) const;
+  /// True when the stored snapshot structure still matches the bound
+  /// tables' partition-group layout (a hot/cold split changes it; the entry
+  /// must then be rebuilt). Also false while the entry is marked for
+  /// rebuild.
+  bool ShapeMatches() const;
 
   /// Flags the cached value as unusable until the next rebuild — set when
   /// merge-time maintenance fails partway, instead of aborting the process.
@@ -224,6 +220,7 @@ class CacheEntry {
 
   CacheKey key_;
   AggregateQuery query_;
+  BoundQuery bound_;  ///< bound_.query == &query_.
   std::map<SubjoinCombination, AggregateResult> main_partials_;
   AggregateResult main_result_;
   std::vector<std::vector<MainSnapshot>> snapshots_;

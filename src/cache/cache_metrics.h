@@ -57,35 +57,6 @@ struct CacheEntryMetrics {
   std::atomic<double> ewma_hit_cycles{0.0};
   std::atomic<double> ewma_hit_llc_miss{0.0};
 
-  CacheEntryMetrics() = default;
-  CacheEntryMetrics(const CacheEntryMetrics& other) { *this = other; }
-  CacheEntryMetrics& operator=(const CacheEntryMetrics& other) {
-    size_bytes = other.size_bytes.load(std::memory_order_relaxed);
-    main_rows_aggregated =
-        other.main_rows_aggregated.load(std::memory_order_relaxed);
-    main_exec_ms = other.main_exec_ms.load(std::memory_order_relaxed);
-    total_delta_comp_ms =
-        other.total_delta_comp_ms.load(std::memory_order_relaxed);
-    delta_comp_count = other.delta_comp_count.load(std::memory_order_relaxed);
-    maintenance_ms = other.maintenance_ms.load(std::memory_order_relaxed);
-    maintenance_failures =
-        other.maintenance_failures.load(std::memory_order_relaxed);
-    hit_count = other.hit_count.load(std::memory_order_relaxed);
-    last_access_ns = other.last_access_ns.load(std::memory_order_relaxed);
-    ewma_hit_ms = other.ewma_hit_ms.load(std::memory_order_relaxed);
-    ewma_delta_comp_ms =
-        other.ewma_delta_comp_ms.load(std::memory_order_relaxed);
-    ewma_rebuild_ms = other.ewma_rebuild_ms.load(std::memory_order_relaxed);
-    ewma_delta_rows = other.ewma_delta_rows.load(std::memory_order_relaxed);
-    saved_ms_total = other.saved_ms_total.load(std::memory_order_relaxed);
-    delta_rows_scanned =
-        other.delta_rows_scanned.load(std::memory_order_relaxed);
-    ewma_hit_cycles = other.ewma_hit_cycles.load(std::memory_order_relaxed);
-    ewma_hit_llc_miss =
-        other.ewma_hit_llc_miss.load(std::memory_order_relaxed);
-    return *this;
-  }
-
   /// Atomic add for the accumulated-time fields (C++20 fetch_add on atomic
   /// floating point).
   static void Add(std::atomic<double>& field, double delta) {

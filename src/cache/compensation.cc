@@ -44,10 +44,10 @@ SubjoinTrace::TidRange MakeTidRange(const BoundQuery& bound,
 }
 
 SubjoinTrace MakeSubjoinTrace(
-    const BoundQuery& bound, const std::vector<MdBinding>& mds,
-    const SubjoinCombination& combination, const char* phase,
-    const PruneDecision& decision,
-    const std::vector<FilterPredicate>& pushdown_filters) {
+    const BoundQuery& bound, const SubjoinCombination& combination,
+    const char* phase, const PruneDecision& decision,
+    const std::vector<FilterPredicate>& pushdown_filters,
+    bool md_tid_ranges) {
   SubjoinTrace trace;
   trace.phase = phase;
   trace.combination = CombinationToString(combination);
@@ -59,12 +59,16 @@ SubjoinTrace MakeSubjoinTrace(
   } else {
     trace.verdict = SubjoinTrace::Verdict::kExecuted;
   }
-  trace.tid_ranges.reserve(mds.size() * 2);
-  for (const MdBinding& md : mds) {
-    trace.tid_ranges.push_back(
-        MakeTidRange(bound, combination, md.left_table, md.left_tid_column));
-    trace.tid_ranges.push_back(
-        MakeTidRange(bound, combination, md.right_table, md.right_tid_column));
+  if (md_tid_ranges) {
+    trace.tid_ranges.reserve(bound.mds.size() * 2);
+    for (const MdBinding& md : bound.mds) {
+      trace.tid_ranges.push_back(MakeTidRange(bound, combination,
+                                              md.left_table,
+                                              md.left_tid_column));
+      trace.tid_ranges.push_back(MakeTidRange(bound, combination,
+                                              md.right_table,
+                                              md.right_tid_column));
+    }
   }
   trace.pushdown_filters.reserve(pushdown_filters.size());
   for (const FilterPredicate& filter : pushdown_filters) {
@@ -76,18 +80,18 @@ SubjoinTrace MakeSubjoinTrace(
 
 }  // namespace
 
-void RecordSubjoin(const BoundQuery& bound, const std::vector<MdBinding>& mds,
+void RecordSubjoin(const BoundQuery& bound,
                    const SubjoinCombination& combination, const char* phase,
                    const PruneDecision& decision,
-                   const std::vector<FilterPredicate>& pushdown_filters) {
+                   const std::vector<FilterPredicate>& pushdown_filters,
+                   bool md_tid_ranges) {
   QueryTrace* trace = TraceContext::Current();
   if (trace == nullptr) return;
-  trace->subjoins.push_back(MakeSubjoinTrace(bound, mds, combination, phase,
-                                             decision, pushdown_filters));
+  trace->subjoins.push_back(MakeSubjoinTrace(
+      bound, combination, phase, decision, pushdown_filters, md_tid_ranges));
 }
 
 std::vector<SubjoinTask> PlanSubjoins(const BoundQuery& bound,
-                                      const std::vector<MdBinding>& mds,
                                       std::vector<SubjoinCombination> combos,
                                       JoinPruner* pruner, bool use_pushdown,
                                       const char* phase) {
@@ -96,21 +100,21 @@ std::vector<SubjoinTask> PlanSubjoins(const BoundQuery& bound,
   std::vector<SubjoinTask> tasks;
   for (SubjoinCombination& combo : combos) {
     PruneDecision decision;
-    if (pruner != nullptr) decision = pruner->ShouldPrune(bound, mds, combo);
+    if (pruner != nullptr) decision = pruner->ShouldPrune(bound, combo);
     if (decision.pruned) {
-      RecordSubjoin(bound, mds, combo, phase, decision, {});
+      RecordSubjoin(bound, combo, phase, decision, {}, /*md_tid_ranges=*/true);
       continue;
     }
     SubjoinTask task{std::move(combo), {}, {}};
     if (use_pushdown) {
-      task.extra_filters = DerivePushdownFilters(bound, mds, task.combination);
+      task.extra_filters = DerivePushdownFilters(bound, task.combination);
       if (!task.extra_filters.empty()) {
         EngineMetrics::Get().pushdown_predicates->Increment(
             task.extra_filters.size());
       }
     }
-    RecordSubjoin(bound, mds, task.combination, phase, decision,
-                  task.extra_filters);
+    RecordSubjoin(bound, task.combination, phase, decision,
+                  task.extra_filters, /*md_tid_ranges=*/true);
     tasks.push_back(std::move(task));
   }
   return tasks;
@@ -118,12 +122,11 @@ std::vector<SubjoinTask> PlanSubjoins(const BoundQuery& bound,
 
 StatusOr<AggregateResult> DeltaCompensate(const Executor& executor,
                                           const BoundQuery& bound,
-                                          const std::vector<MdBinding>& mds,
                                           JoinPruner& pruner,
                                           bool use_pushdown, Snapshot snapshot,
                                           ExecutorStats* stats) {
   std::vector<SubjoinTask> tasks =
-      PlanSubjoins(bound, mds, EnumerateCompensationCombinations(bound.tables),
+      PlanSubjoins(bound, EnumerateCompensationCombinations(bound.tables),
                    &pruner, use_pushdown, "delta-compensation");
   // `cache.delta_comp` lets the harnesses hold a query inside delta
   // compensation deterministically (kDelay) so the active-query registry

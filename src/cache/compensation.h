@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "objectaware/join_pruning.h"
-#include "objectaware/matching_dependency.h"
 #include "query/executor.h"
 
 namespace aggcache {
@@ -13,11 +12,8 @@ namespace aggcache {
 /// (when non-null) whether it can be skipped, derives MD pushdown filters
 /// for a survivor when `use_pushdown` is set (Section 5.3), and records the
 /// EXPLAIN event under `phase`, pruned combinations included. Returns one
-/// task per surviving combination, in combination order. `mds` must come
-/// from ResolveMds(bound) when a pruner or pushdown is used; it also
-/// supplies the tid ranges of the EXPLAIN events.
+/// task per surviving combination, in combination order.
 std::vector<SubjoinTask> PlanSubjoins(const BoundQuery& bound,
-                                      const std::vector<MdBinding>& mds,
                                       std::vector<SubjoinCombination> combos,
                                       JoinPruner* pruner, bool use_pushdown,
                                       const char* phase);
@@ -25,13 +21,15 @@ std::vector<SubjoinTask> PlanSubjoins(const BoundQuery& bound,
 /// Appends the EXPLAIN event for one subjoin to the calling thread's active
 /// trace; no-op (a thread-local null check) without one. The event carries
 /// the combination, the verdict (pruned when `decision` fired, pushdown
-/// when `pushdown_filters` is non-empty, executed otherwise) and the MD tid
-/// ranges the verdict was decided on. Must run on the orchestration thread
-/// (trace updates are unlocked).
-void RecordSubjoin(const BoundQuery& bound, const std::vector<MdBinding>& mds,
+/// when `pushdown_filters` is non-empty, executed otherwise) and, when
+/// `md_tid_ranges` is set, the tid ranges of `bound.mds` the verdict was
+/// decided on. Must run on the orchestration thread (trace updates are
+/// unlocked).
+void RecordSubjoin(const BoundQuery& bound,
                    const SubjoinCombination& combination, const char* phase,
                    const PruneDecision& decision,
-                   const std::vector<FilterPredicate>& pushdown_filters);
+                   const std::vector<FilterPredicate>& pushdown_filters,
+                   bool md_tid_ranges);
 
 /// Delta compensation (Section 2.3.2): executes the non-all-main subjoin
 /// combinations under `snapshot`, skipping those the pruner proves empty
@@ -42,7 +40,6 @@ void RecordSubjoin(const BoundQuery& bound, const std::vector<MdBinding>& mds,
 /// pruned counts are in `pruner.stats()`.
 StatusOr<AggregateResult> DeltaCompensate(const Executor& executor,
                                           const BoundQuery& bound,
-                                          const std::vector<MdBinding>& mds,
                                           JoinPruner& pruner,
                                           bool use_pushdown, Snapshot snapshot,
                                           ExecutorStats* stats);

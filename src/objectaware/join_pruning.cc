@@ -30,7 +30,6 @@ bool TidRangesDisjoint(const Partition& left, size_t left_tid_column,
 }
 
 PruneDecision JoinPruner::ShouldPrune(const BoundQuery& bound,
-                                      const std::vector<MdBinding>& mds,
                                       const SubjoinCombination& combination) {
   ++stats_.considered;
   const EngineMetrics& metrics = EngineMetrics::Get();
@@ -63,7 +62,7 @@ PruneDecision JoinPruner::ShouldPrune(const BoundQuery& bound,
   }
 
   // Rule 3: the Eq. 5 tid-range prefilter on every MD-covered join edge.
-  for (const MdBinding& md : mds) {
+  for (const MdBinding& md : bound.mds) {
     const Partition& left =
         ResolvePartition(*bound.tables[md.left_table],
                          combination[md.left_table]);

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "objectaware/matching_dependency.h"
 #include "query/executor.h"
 #include "query/subjoin.h"
 
@@ -59,10 +58,9 @@ class JoinPruner {
  public:
   JoinPruner(const Database* db, PruneLevel level);
 
-  /// Decides whether `combination` can be skipped. `mds` must come from
-  /// ResolveMds(bound) for the same bound query.
+  /// Decides whether `combination` can be skipped; rule 3 reads the
+  /// query's MDs from `bound.mds`.
   PruneDecision ShouldPrune(const BoundQuery& bound,
-                            const std::vector<MdBinding>& mds,
                             const SubjoinCombination& combination);
 
   PruneLevel level() const { return level_; }

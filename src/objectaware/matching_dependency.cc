@@ -1,66 +1,6 @@
 #include "objectaware/matching_dependency.h"
 
-#include "common/string_util.h"
-
 namespace aggcache {
-
-std::string MdBinding::ToString() const {
-  return StrFormat("MD(join#%zu: t%zu.tid#%zu = t%zu.tid#%zu)", join_index,
-                   left_table, left_tid_column, right_table,
-                   right_tid_column);
-}
-
-namespace {
-
-// Checks one direction: does `ref` (query table index) own the primary key
-// side and `fk_side` the foreign key side of this join, with an MD tid
-// column declared?
-std::optional<MdBinding> TryDirection(const BoundQuery& bound,
-                                      size_t join_index, size_t ref,
-                                      size_t ref_column, size_t fk_side,
-                                      size_t fk_column) {
-  const TableSchema& ref_schema = bound.tables[ref]->schema();
-  const TableSchema& fk_schema = bound.tables[fk_side]->schema();
-  if (!ref_schema.primary_key || *ref_schema.primary_key != ref_column) {
-    return std::nullopt;
-  }
-  if (!ref_schema.own_tid_column) return std::nullopt;
-  for (const ForeignKeyDef& fk : fk_schema.foreign_keys) {
-    if (fk.column != fk_column) continue;
-    if (fk.ref_table != ref_schema.name) continue;
-    if (!fk.tid_column) continue;
-    MdBinding binding;
-    binding.join_index = join_index;
-    binding.left_table = ref;
-    binding.left_tid_column = *ref_schema.own_tid_column;
-    binding.right_table = fk_side;
-    binding.right_tid_column = *fk.tid_column;
-    return binding;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<MdBinding> ResolveMdForJoin(const BoundQuery& bound,
-                                          size_t join_index) {
-  const BoundQuery::BoundJoin& join = bound.joins[join_index];
-  if (auto md = TryDirection(bound, join_index, join.outer_table,
-                             join.outer_column, join.inner_table,
-                             join.inner_column)) {
-    return md;
-  }
-  return TryDirection(bound, join_index, join.inner_table, join.inner_column,
-                      join.outer_table, join.outer_column);
-}
-
-std::vector<MdBinding> ResolveMds(const BoundQuery& bound) {
-  std::vector<MdBinding> result;
-  for (size_t j = 0; j < bound.joins.size(); ++j) {
-    if (auto md = ResolveMdForJoin(bound, j)) result.push_back(*md);
-  }
-  return result;
-}
 
 StatusOr<bool> VerifyMdHolds(const Database& db, const std::string& ref_table,
                              const std::string& fk_table) {

@@ -1,48 +1,17 @@
 #ifndef AGGCACHE_OBJECTAWARE_MATCHING_DEPENDENCY_H_
 #define AGGCACHE_OBJECTAWARE_MATCHING_DEPENDENCY_H_
 
-#include <optional>
 #include <string>
-#include <vector>
 
-#include "query/executor.h"
 #include "storage/database.h"
 
 namespace aggcache {
 
-/// A matching dependency (Definition 2 / Eq. 3 of the paper) bound to a
-/// query's join condition:
-///
-///   MD = (R, S, (R[pk] = S[fk]) => (R[tid] = S[tid]))
-///
-/// i.e., whenever two tuples join on pk = fk, their tid columns agree as
-/// well, because inserts copy the referenced row's own-tid into the
-/// referencing row (storage/table.cc, BuildRow). The binding carries the
-/// query-table indexes and the schema column indexes of the two tid
-/// columns, which is all the pruner and the pushdown need.
-struct MdBinding {
-  size_t join_index = 0;       ///< Index into the query's join list.
-  size_t left_table = 0;       ///< Query table index (referenced side, pk).
-  size_t left_tid_column = 0;  ///< Own-tid column of the referenced table.
-  size_t right_table = 0;      ///< Query table index (referencing side, fk).
-  size_t right_tid_column = 0; ///< MD tid column of the referencing table.
-
-  std::string ToString() const;
-};
-
-/// Resolves the matching dependency (if any) implied by a bound query's
-/// join condition `join_index`: the join must equate one table's primary
-/// key with another table's foreign key that declares an MD tid column, and
-/// the referenced table must have an own-tid column.
-std::optional<MdBinding> ResolveMdForJoin(const BoundQuery& bound,
-                                          size_t join_index);
-
-/// All MD bindings for a bound query, one per join condition that has one.
-std::vector<MdBinding> ResolveMds(const BoundQuery& bound);
-
-/// Verifies that the MD actually holds on the current table contents (every
-/// matching pair agrees on the tid columns). O(|R| + |S|); used by tests
-/// and debugging, never on the query path.
+/// Verifies that the MD declared from `fk_table` to `ref_table` actually
+/// holds on the current table contents (every matching pair agrees on the
+/// tid columns). O(|R| + |S|); used by tests and debugging, never on the
+/// query path, which reads the MDs BoundQuery::Bind resolved from the
+/// schema (BoundQuery::mds).
 StatusOr<bool> VerifyMdHolds(const Database& db, const std::string& ref_table,
                              const std::string& fk_table);
 

@@ -3,10 +3,9 @@
 namespace aggcache {
 
 std::vector<FilterPredicate> DerivePushdownFilters(
-    const BoundQuery& bound, const std::vector<MdBinding>& mds,
-    const SubjoinCombination& combination) {
+    const BoundQuery& bound, const SubjoinCombination& combination) {
   std::vector<FilterPredicate> filters;
-  for (const MdBinding& md : mds) {
+  for (const MdBinding& md : bound.mds) {
     const Partition& left = ResolvePartition(*bound.tables[md.left_table],
                                              combination[md.left_table]);
     const Partition& right = ResolvePartition(*bound.tables[md.right_table],

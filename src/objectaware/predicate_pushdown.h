@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "objectaware/matching_dependency.h"
 #include "query/executor.h"
 #include "query/predicate.h"
 #include "query/subjoin.h"
@@ -24,8 +23,7 @@ namespace aggcache {
 /// Executor::ExecuteSubjoin as extra filters. Derived filters are implied
 /// by the MD, so applying them never changes the subjoin's result.
 std::vector<FilterPredicate> DerivePushdownFilters(
-    const BoundQuery& bound, const std::vector<MdBinding>& mds,
-    const SubjoinCombination& combination);
+    const BoundQuery& bound, const SubjoinCombination& combination);
 
 }  // namespace aggcache
 

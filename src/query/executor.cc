@@ -15,6 +15,54 @@
 
 namespace aggcache {
 
+std::string MdBinding::ToString() const {
+  return StrFormat("MD(join#%zu: t%zu.tid#%zu = t%zu.tid#%zu)", join_index,
+                   left_table, left_tid_column, right_table,
+                   right_tid_column);
+}
+
+namespace {
+
+// Checks one direction of a join: does `ref` (query table index) own the
+// primary key side and `fk_side` the foreign key side, with an MD tid
+// column declared?
+std::optional<MdBinding> TryMdDirection(const BoundQuery& bound,
+                                        size_t join_index, size_t ref,
+                                        size_t ref_column, size_t fk_side,
+                                        size_t fk_column) {
+  const TableSchema& ref_schema = bound.tables[ref]->schema();
+  const TableSchema& fk_schema = bound.tables[fk_side]->schema();
+  if (!ref_schema.primary_key || *ref_schema.primary_key != ref_column) {
+    return std::nullopt;
+  }
+  if (!ref_schema.own_tid_column) return std::nullopt;
+  for (const ForeignKeyDef& fk : fk_schema.foreign_keys) {
+    if (fk.column != fk_column) continue;
+    if (fk.ref_table != ref_schema.name) continue;
+    if (!fk.tid_column) continue;
+    return MdBinding{join_index, ref, *ref_schema.own_tid_column, fk_side,
+                     *fk.tid_column};
+  }
+  return std::nullopt;
+}
+
+// The MD implied by join condition `join_index`, in whichever direction
+// the join was written.
+std::optional<MdBinding> ResolveMdForJoin(const BoundQuery& bound,
+                                          size_t join_index) {
+  const BoundQuery::BoundJoin& join = bound.joins[join_index];
+  if (auto md = TryMdDirection(bound, join_index, join.outer_table,
+                               join.outer_column, join.inner_table,
+                               join.inner_column)) {
+    return md;
+  }
+  return TryMdDirection(bound, join_index, join.inner_table,
+                        join.inner_column, join.outer_table,
+                        join.outer_column);
+}
+
+}  // namespace
+
 StatusOr<BoundQuery> BoundQuery::Bind(const Database& db,
                                       const AggregateQuery& query) {
   if (query.tables.empty()) {
@@ -80,6 +128,9 @@ StatusOr<BoundQuery> BoundQuery::Bind(const Database& db,
           "table %zu ('%s') has no join condition to an earlier table", i,
           query.tables[i].table_name.c_str()));
     }
+  }
+  for (size_t j = 0; j < bound.joins.size(); ++j) {
+    if (auto md = ResolveMdForJoin(bound, j)) bound.mds.push_back(*md);
   }
   for (const FilterPredicate& filter : query.filters) {
     ASSIGN_OR_RETURN(size_t col, resolve(filter.table_index, filter.column));

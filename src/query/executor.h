@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "query/aggregate_query.h"
@@ -13,9 +14,31 @@
 
 namespace aggcache {
 
+/// A matching dependency (Definition 2 / Eq. 3 of the paper) bound to a
+/// query's join condition:
+///
+///   MD = (R, S, (R[pk] = S[fk]) => (R[tid] = S[tid]))
+///
+/// i.e., whenever two tuples join on pk = fk, their tid columns agree as
+/// well, because inserts copy the referenced row's own-tid into the
+/// referencing row (storage/table.cc, BuildRow). The binding carries the
+/// query-table indexes and the schema column indexes of the two tid
+/// columns, which is all the pruner and the pushdown need.
+struct MdBinding {
+  size_t join_index = 0;       ///< Index into the query's join list.
+  size_t left_table = 0;       ///< Query table index (referenced side, pk).
+  size_t left_tid_column = 0;  ///< Own-tid column of the referenced table.
+  size_t right_table = 0;      ///< Query table index (referencing side, fk).
+  size_t right_tid_column = 0; ///< MD tid column of the referencing table.
+
+  std::string ToString() const;
+};
+
 /// An AggregateQuery with every table and column reference resolved against
-/// the catalog. Binding happens once per execution; the pruning and
-/// pushdown modules consume the same structure.
+/// the catalog, its matching dependencies included. The catalog only grows,
+/// so a binding never goes stale: a cache entry binds once when it is
+/// created and keeps that binding for life, and the pruning and pushdown
+/// modules read the MDs from it instead of re-deriving them.
 struct BoundQuery {
   const AggregateQuery* query = nullptr;
   std::vector<const Table*> tables;
@@ -50,8 +73,14 @@ struct BoundQuery {
   };
   std::vector<BoundAggregate> aggregates;
 
-  /// Validates `query` and resolves all references, in one pass over the
-  /// catalog.
+  /// One binding per join condition that implies a matching dependency: the
+  /// join equates one table's primary key with another table's foreign key
+  /// that declares an MD tid column, and the referenced table has an
+  /// own-tid column.
+  std::vector<MdBinding> mds;
+
+  /// Validates `query` and resolves all references and MDs, in one pass
+  /// over the catalog.
   static StatusOr<BoundQuery> Bind(const Database& db,
                                    const AggregateQuery& query);
 };

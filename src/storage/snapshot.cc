@@ -1,13 +1,13 @@
 #include "storage/snapshot.h"
 
 #include <cinttypes>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
 
 #include "common/string_util.h"
 #include "storage/delta_merge.h"
+#include "storage/wal.h"
 
 namespace aggcache {
 namespace {
@@ -16,81 +16,29 @@ constexpr const char* kMagic = "AGGCACHE_SNAPSHOT v1";
 
 // --- Value encoding --------------------------------------------------------
 // One token per value: integers and doubles as plain text, strings quoted
-// with backslash escapes for quote, backslash, newline, and CR (so a row
-// always fits one line).
+// by the shared value text codec (storage/wal.h), so a row always fits one
+// line.
 
 std::string EncodeValue(const Value& v) {
   if (v.is_int64()) return StrFormat("%lld", static_cast<long long>(v.AsInt64()));
   if (v.is_double()) return StrFormat("%.17g", v.AsDouble());
-  std::string out = "\"";
-  for (char c : v.AsString()) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        out += c;
-    }
-  }
-  out += '"';
+  std::string out;
+  AppendQuotedString(&out, v.AsString());
   return out;
 }
 
-// Reads one encoded value of the given type from `stream`.
+// Reads one encoded value of the given type from `stream`; a number must
+// fill its whole token.
 StatusOr<Value> DecodeValue(std::istringstream& stream, ColumnType type) {
-  // Skip leading spaces.
-  stream >> std::ws;
   if (type == ColumnType::kString) {
-    if (stream.get() != '"') {
-      return Status::InvalidArgument("malformed string value in snapshot");
-    }
-    std::string out;
-    int c;
-    while ((c = stream.get()) != EOF) {
-      if (c == '\\') {
-        int escaped = stream.get();
-        switch (escaped) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          default:
-            return Status::InvalidArgument("bad escape in snapshot string");
-        }
-      } else if (c == '"') {
-        return Value(out);
-      } else {
-        out += static_cast<char>(c);
-      }
-    }
-    return Status::InvalidArgument("unterminated string value in snapshot");
+    ASSIGN_OR_RETURN(std::string s, ReadQuotedString(stream));
+    return Value(std::move(s));
   }
   std::string token;
   if (!(stream >> token)) {
     return Status::InvalidArgument("missing value in snapshot row");
   }
-  if (type == ColumnType::kInt64) {
-    return Value(static_cast<int64_t>(std::strtoll(token.c_str(), nullptr,
-                                                   10)));
-  }
-  return Value(std::strtod(token.c_str(), nullptr));
+  return ParseNumberToken(token, type);
 }
 
 // --- Writing ----------------------------------------------------------------
@@ -214,6 +162,9 @@ StatusOr<Partition> ReadPartition(SnapshotReader& reader,
       auto value = DecodeValue(rs, c.type);
       if (!value.ok()) return reader.Fail(value.status().message());
       values.push_back(std::move(value).value());
+    }
+    if (!(rs >> std::ws).eof()) {
+      return reader.Fail("more values than columns in a 'row' line");
     }
     if (is_main) {
       builder.AddRow(std::move(values), create_tid, invalidate_tid);

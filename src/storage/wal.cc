@@ -134,32 +134,85 @@ const char* WalRecordTypeToString(WalRecordType type) {
   return "unknown";
 }
 
+void AppendQuotedString(std::string* out, std::string_view s) {
+  *out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      default:
+        *out += c;
+    }
+  }
+  *out += '"';
+}
+
+StatusOr<std::string> ReadQuotedString(std::istream& in) {
+  in >> std::ws;
+  if (in.get() != '"') {
+    return Status::InvalidArgument("expected a quoted string");
+  }
+  std::string out;
+  int c;
+  while ((c = in.get()) != EOF) {
+    if (c == '"') return out;
+    if (c != '\\') {
+      out += static_cast<char>(c);
+      continue;
+    }
+    switch (in.get()) {
+      case '"':
+        out += '"';
+        break;
+      case '\\':
+        out += '\\';
+        break;
+      case 'n':
+        out += '\n';
+        break;
+      case 'r':
+        out += '\r';
+        break;
+      default:
+        return Status::InvalidArgument("bad escape in quoted string");
+    }
+  }
+  return Status::InvalidArgument("unterminated quoted string");
+}
+
+StatusOr<Value> ParseNumberToken(const std::string& token, ColumnType type) {
+  const char* begin = token.c_str();
+  char* end = nullptr;
+  Value value =
+      type == ColumnType::kInt64
+          ? Value(static_cast<int64_t>(std::strtoll(begin, &end, 10)))
+          : Value(std::strtod(begin, &end));
+  if (end == begin || *end != '\0') {
+    return Status::InvalidArgument(StrFormat("malformed %s value '%s'",
+                                             ColumnTypeToString(type),
+                                             token.c_str()));
+  }
+  return value;
+}
+
 std::string EncodeWalValue(const Value& v) {
   if (v.is_null()) return "n";
   if (v.is_int64()) {
     return StrFormat("i%lld", static_cast<long long>(v.AsInt64()));
   }
   if (v.is_double()) return StrFormat("d%.17g", v.AsDouble());
-  std::string out = "\"";
-  for (char c : v.AsString()) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        out += c;
-    }
-  }
-  out += '"';
+  std::string out;
+  AppendQuotedString(&out, v.AsString());
   return out;
 }
 
@@ -168,57 +221,19 @@ StatusOr<Value> DecodeWalValue(std::istream& in) {
   int first = in.peek();
   if (first == EOF) return Status::InvalidArgument("missing WAL value token");
   if (first == '"') {
-    in.get();
-    std::string out;
-    int c;
-    while ((c = in.get()) != EOF) {
-      if (c == '\\') {
-        int escaped = in.get();
-        switch (escaped) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          default:
-            return Status::InvalidArgument("bad escape in WAL string value");
-        }
-      } else if (c == '"') {
-        return Value(std::move(out));
-      } else {
-        out += static_cast<char>(c);
-      }
-    }
-    return Status::InvalidArgument("unterminated WAL string value");
+    ASSIGN_OR_RETURN(std::string s, ReadQuotedString(in));
+    return Value(std::move(s));
   }
   std::string token;
   if (!(in >> token) || token.empty()) {
     return Status::InvalidArgument("missing WAL value token");
   }
   if (token == "n") return Value();
-  const char* body = token.c_str() + 1;
-  char* end = nullptr;
   if (token[0] == 'i') {
-    long long v = std::strtoll(body, &end, 10);
-    if (end == body || *end != '\0') {
-      return Status::InvalidArgument("malformed WAL int token '" + token + "'");
-    }
-    return Value(static_cast<int64_t>(v));
+    return ParseNumberToken(token.substr(1), ColumnType::kInt64);
   }
   if (token[0] == 'd') {
-    double v = std::strtod(body, &end);
-    if (end == body || *end != '\0') {
-      return Status::InvalidArgument("malformed WAL double token '" + token +
-                                     "'");
-    }
-    return Value(v);
+    return ParseNumberToken(token.substr(1), ColumnType::kDouble);
   }
   return Status::InvalidArgument("unknown WAL value token '" + token + "'");
 }

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -75,11 +76,21 @@ struct WalReadResult {
 /// CRC-32 (IEEE 802.3 polynomial, bit-reflected) over `n` bytes.
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
-// --- Self-describing value tokens -------------------------------------------
-// One whitespace-delimited token per value, used in WAL payloads and cache
-// descriptors: i<int>, d<%.17g>, n (null), or a double-quoted string with
-// backslash escapes for quote, backslash, newline and CR.
+// --- Value text codec --------------------------------------------------------
+// Shared by WAL payloads, cache descriptors and the snapshot format. Strings
+// are double-quoted with backslash escapes for quote, backslash, newline and
+// CR, so a record always fits one line; a number must fill its whole token.
 
+/// Appends `s` quoted and escaped to `out`.
+void AppendQuotedString(std::string* out, std::string_view s);
+/// Reads one quoted string; the next non-space character must open it.
+StatusOr<std::string> ReadQuotedString(std::istream& in);
+/// Parses all of `token` as a kInt64 or kDouble value; trailing characters
+/// or an empty token are InvalidArgument.
+StatusOr<Value> ParseNumberToken(const std::string& token, ColumnType type);
+
+// Self-describing WAL tokens, one whitespace-delimited token per value:
+// i<int>, d<%.17g>, n (null), or a quoted string.
 std::string EncodeWalValue(const Value& v);
 StatusOr<Value> DecodeWalValue(std::istream& in);
 

@@ -25,7 +25,6 @@ namespace aggcache {
 ///   storage.merge           Database::Merge, before a group merge runs.
 ///   storage.merge.publish   Delta merge, just before the rebuilt main is
 ///                           swapped in (after the expensive copy work).
-///   maintenance.bind        Merge-time query re-bind against the catalog.
 ///   maintenance.compensate  Merge-time main compensation of an entry.
 ///   maintenance.rebuild     Merge-time rebuild of a stale-shaped entry.
 ///   maintenance.fold        Folding the merging delta into a cached partial.

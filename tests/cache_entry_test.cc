@@ -16,74 +16,84 @@ class CacheEntryTest : public ::testing::Test {
     }
     ASSERT_OK(db_.MergeTables({"Header", "Item"}));
     query_ = testing_util::HeaderItemQuery();
-    tables_ = {header_, item_};
   }
 
-  CacheEntry MakeEntry() {
-    CacheEntry entry(MakeCacheKey(query_), query_);
+  // Entries never move (their binding points at their own query), so each
+  // test constructs one in place and fills its snapshots here.
+  void TakeSnapshots(CacheEntry& entry) {
     entry.snapshots().resize(2);
     for (size_t t = 0; t < 2; ++t) {
-      const Partition& main = tables_[t]->group(0).main;
+      const Partition& main = entry.bound().tables[t]->group(0).main;
       entry.snapshots()[t].resize(1);
       entry.snapshots()[t][0].visibility = BitVector(main.num_rows(), true);
       entry.snapshots()[t][0].row_count = main.num_rows();
       entry.snapshots()[t][0].invalidation_count =
           main.invalidation_count();
     }
-    return entry;
+  }
+
+  BoundQuery Bind() {
+    auto bound = BoundQuery::Bind(db_, query_);
+    AGGCACHE_CHECK(bound.ok()) << bound.status().ToString();
+    return std::move(bound).value();
   }
 
   Database db_;
   Table* header_ = nullptr;
   Table* item_ = nullptr;
-  std::vector<const Table*> tables_;
   int64_t next_item_id_ = 1;
   AggregateQuery query_;
 };
 
 TEST_F(CacheEntryTest, CleanEntryIsNotDirty) {
-  CacheEntry entry = MakeEntry();
-  EXPECT_FALSE(entry.IsDirty(tables_));
-  EXPECT_TRUE(entry.ShapeMatches(tables_));
+  CacheEntry entry(MakeCacheKey(query_), Bind());
+  TakeSnapshots(entry);
+  EXPECT_FALSE(entry.IsDirty());
+  EXPECT_TRUE(entry.ShapeMatches());
 }
 
 TEST_F(CacheEntryTest, InvalidationMakesEntryDirty) {
-  CacheEntry entry = MakeEntry();
+  CacheEntry entry(MakeCacheKey(query_), Bind());
+  TakeSnapshots(entry);
   Transaction txn = db_.Begin();
   ASSERT_OK(header_->DeleteByPk(txn, Value(int64_t{1})));
-  EXPECT_TRUE(entry.IsDirty(tables_));
+  EXPECT_TRUE(entry.IsDirty());
   // The shape still matches (row counts unchanged by invalidation).
-  EXPECT_TRUE(entry.ShapeMatches(tables_));
+  EXPECT_TRUE(entry.ShapeMatches());
 }
 
 TEST_F(CacheEntryTest, DeltaInsertsDoNotDirtyTheEntry) {
-  CacheEntry entry = MakeEntry();
+  CacheEntry entry(MakeCacheKey(query_), Bind());
+  TakeSnapshots(entry);
   ASSERT_OK(testing_util::InsertBusinessObject(&db_, header_, item_, 9,
                                                2014, 2, 1.0,
                                                &next_item_id_));
   // The aggregate cache never goes stale from inserts: they live in the
   // delta, outside the cached extent.
-  EXPECT_FALSE(entry.IsDirty(tables_));
-  EXPECT_TRUE(entry.ShapeMatches(tables_));
+  EXPECT_FALSE(entry.IsDirty());
+  EXPECT_TRUE(entry.ShapeMatches());
 }
 
 TEST_F(CacheEntryTest, MergeChangesShape) {
-  CacheEntry entry = MakeEntry();
+  CacheEntry entry(MakeCacheKey(query_), Bind());
+  TakeSnapshots(entry);
   ASSERT_OK(testing_util::InsertBusinessObject(&db_, header_, item_, 9,
                                                2014, 2, 1.0,
                                                &next_item_id_));
   ASSERT_OK(db_.MergeTables({"Header", "Item"}));
-  EXPECT_FALSE(entry.ShapeMatches(tables_));
+  EXPECT_FALSE(entry.ShapeMatches());
 }
 
 TEST_F(CacheEntryTest, SplitChangesShape) {
-  CacheEntry entry = MakeEntry();
+  CacheEntry entry(MakeCacheKey(query_), Bind());
+  TakeSnapshots(entry);
   ASSERT_OK(header_->SplitHotCold("HeaderID", Value(int64_t{3})));
-  EXPECT_FALSE(entry.ShapeMatches(tables_));
+  EXPECT_FALSE(entry.ShapeMatches());
 }
 
 TEST_F(CacheEntryTest, PublishMainResultUnionsPartials) {
-  CacheEntry entry = MakeEntry();
+  CacheEntry entry(MakeCacheKey(query_), Bind());
+  TakeSnapshots(entry);
   AggregateResult a(2);
   a.Accumulate(GroupKey{{Value(int64_t{1})}},
                {Value(int64_t{10}), Value(int64_t{0})});
@@ -108,7 +118,8 @@ TEST_F(CacheEntryTest, PublishMainResultUnionsPartials) {
 }
 
 TEST_F(CacheEntryTest, PublishMainResultCountsResultPartialsAndSnapshots) {
-  CacheEntry entry = MakeEntry();
+  CacheEntry entry(MakeCacheKey(query_), Bind());
+  TakeSnapshots(entry);
   entry.PublishMainResult();
   size_t baseline = entry.metrics().size_bytes;
   EXPECT_GT(baseline, 0u);

@@ -3,6 +3,7 @@
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
+#include "verify/fault_injector.h"
 
 namespace aggcache {
 namespace {
@@ -491,6 +492,54 @@ TEST_F(CacheManagerTest, MergeSkipsEntriesNotReferencingMergedTable) {
   EXPECT_EQ(other_entry->metrics().maintenance_failures, 0u);
   ExpectAllStrategiesAgree(&db_, cache_.get(), query_);
   ExpectAllStrategiesAgree(&db_, cache_.get(), other_query);
+}
+
+TEST_F(CacheManagerTest, MergingAnUnreferencedTableLeavesEveryEntryUntouched) {
+  auto other_or = db_.CreateTable(SchemaBuilder("Other")
+                                      .AddColumn("K", ColumnType::kInt64)
+                                      .PrimaryKey()
+                                      .AddColumn("V", ColumnType::kInt64)
+                                      .Build());
+  ASSERT_TRUE(other_or.ok()) << other_or.status();
+  AggregateQuery header_query = QueryBuilder()
+                                    .From("Header")
+                                    .GroupBy("Header", "FiscalYear")
+                                    .CountStar("n")
+                                    .Build();
+  Transaction warm = db_.Begin();
+  ASSERT_TRUE(Execute(*cache_, query_, warm).ok());
+  ASSERT_TRUE(Execute(*cache_, header_query, warm).ok());
+  const CacheEntry* entries[] = {cache_->Find(query_),
+                                 cache_->Find(header_query)};
+  ASSERT_NE(entries[0], nullptr);
+  ASSERT_NE(entries[1], nullptr);
+  const Tid base_tids[] = {entries[0]->base_tid(), entries[1]->base_tid()};
+
+  Transaction write = db_.Begin();
+  ASSERT_OK(other_or.value()->Insert(write,
+                                     {Value(int64_t{1}), Value(int64_t{7})}));
+  // Any maintenance step run on an entry would fail and mark it.
+  for (const char* point :
+       {"maintenance.compensate", "maintenance.rebuild", "maintenance.fold"}) {
+    FaultInjector::Global().Arm(point, {/*probability=*/1.0});
+  }
+  Status merged = db_.Merge("Other");
+  FaultInjector::Global().DisarmAll();
+  FaultInjector::Global().ResetCounters();
+  ASSERT_OK(merged);
+
+  const AggregateQuery* queries[] = {&query_, &header_query};
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(queries[i]->ToSql());
+    EXPECT_EQ(entries[i]->metrics().maintenance_ms, 0.0);
+    EXPECT_EQ(entries[i]->metrics().maintenance_failures, 0u);
+    EXPECT_FALSE(entries[i]->needs_rebuild());
+    EXPECT_EQ(entries[i]->base_tid(), base_tids[i]);
+    Transaction read = db_.Begin();
+    ASSERT_TRUE(Execute(*cache_, *queries[i], read).ok());
+    EXPECT_TRUE(stats_.cache_hit);
+    EXPECT_FALSE(stats_.entry_rebuilt);
+  }
 }
 
 // --- Exact cache keys -------------------------------------------------------

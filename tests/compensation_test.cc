@@ -43,10 +43,9 @@ TEST_F(CompensationTest, DeltaCompensationCompletesTheCachedResult) {
   auto cached = executor.ExecuteSubjoin(*bound, all_main, Now());
   ASSERT_TRUE(cached.ok());
 
-  std::vector<MdBinding> mds = ResolveMds(*bound);
   JoinPruner pruner(&db_, PruneLevel::kFull);
   ExecutorStats stats;
-  auto delta = DeltaCompensate(executor, *bound, mds, pruner,
+  auto delta = DeltaCompensate(executor, *bound, pruner,
                                /*use_pushdown=*/false, Now(), &stats);
   ASSERT_TRUE(delta.ok());
 
@@ -74,13 +73,12 @@ TEST_F(CompensationTest, PushdownDoesNotChangeDeltaCompensation) {
   auto bound = BoundQuery::Bind(db_, query);
   ASSERT_TRUE(bound.ok());
   Executor executor(&db_);
-  std::vector<MdBinding> mds = ResolveMds(*bound);
 
   JoinPruner pruner_a(&db_, PruneLevel::kFull);
-  auto plain = DeltaCompensate(executor, *bound, mds, pruner_a, false,
+  auto plain = DeltaCompensate(executor, *bound, pruner_a, false,
                                Now(), nullptr);
   JoinPruner pruner_b(&db_, PruneLevel::kFull);
-  auto pushed = DeltaCompensate(executor, *bound, mds, pruner_b, true,
+  auto pushed = DeltaCompensate(executor, *bound, pruner_b, true,
                                 Now(), nullptr);
   ASSERT_TRUE(plain.ok() && pushed.ok());
   std::string diff;

@@ -44,6 +44,15 @@ class FaultInjectionTest : public ::testing::Test {
     return entry;
   }
 
+  // Fails the maintenance of every merge: MergeAll merges Header, whose
+  // compensation fails and marks the entry, then Item, whose rebuild of the
+  // marked entry fails too, so the entry stays marked for the next access.
+  void FailEveryMergeMaintenance() {
+    FaultInjector::Global().Arm("maintenance.compensate",
+                                {/*probability=*/1.0});
+    FaultInjector::Global().Arm("maintenance.rebuild", {/*probability=*/1.0});
+  }
+
   // Asserts that a fresh cached execution agrees with uncached execution,
   // was NOT served from the (stale) cached partials, and rebuilt the entry
   // with timing recorded.
@@ -77,12 +86,12 @@ class FaultInjectionTest : public ::testing::Test {
   int64_t next_item_id_ = 1;
 };
 
-TEST_F(FaultInjectionTest, FailedBindDuringMergeMarksForRebuild) {
+TEST_F(FaultInjectionTest, FailedCompensationDuringMergeMarksForRebuild) {
   AggregateCacheManager cache(&db_);
   const CacheEntry* entry = WarmEntry(&cache);
   ASSERT_FALSE(entry->needs_rebuild());
 
-  FaultInjector::Global().Arm("maintenance.bind", {/*probability=*/1.0});
+  FailEveryMergeMaintenance();
   ASSERT_OK(db_.MergeAll());  // Merge succeeds; entry maintenance does not.
   EXPECT_TRUE(entry->needs_rebuild());
   FaultInjector::Global().DisarmAll();
@@ -101,7 +110,7 @@ TEST_F(FaultInjectionTest, RebuildByAnOlderReaderKeepsMergedRows) {
   Transaction old_reader = db_.Begin();
   ASSERT_OK(InsertBusinessObject(&db_, header_, item_, 5, 2015, 2, 99.0,
                                  &next_item_id_));
-  FaultInjector::Global().Arm("maintenance.bind", {/*probability=*/1.0});
+  FailEveryMergeMaintenance();
   ASSERT_OK(db_.MergeAll());
   FaultInjector::Global().DisarmAll();
 

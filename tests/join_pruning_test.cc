@@ -36,11 +36,10 @@ class JoinPruningTest : public ::testing::Test {
 TEST_F(JoinPruningTest, LevelNoneNeverPrunes) {
   LoadAndMerge(3);
   BoundQuery bound = Bind();
-  std::vector<MdBinding> mds = ResolveMds(bound);
   JoinPruner pruner(&db_, PruneLevel::kNone);
   for (const SubjoinCombination& combo :
        EnumerateCompensationCombinations(bound.tables)) {
-    EXPECT_FALSE(pruner.ShouldPrune(bound, mds, combo).pruned);
+    EXPECT_FALSE(pruner.ShouldPrune(bound, combo).pruned);
   }
   EXPECT_EQ(pruner.stats().total_pruned(), 0u);
 }
@@ -48,12 +47,11 @@ TEST_F(JoinPruningTest, LevelNoneNeverPrunes) {
 TEST_F(JoinPruningTest, EmptyPartitionPruning) {
   LoadAndMerge(3);  // Deltas now empty.
   BoundQuery bound = Bind();
-  std::vector<MdBinding> mds = ResolveMds(bound);
   JoinPruner pruner(&db_, PruneLevel::kEmptyPartitions);
   // All three compensation combos involve an empty delta.
   for (const SubjoinCombination& combo :
        EnumerateCompensationCombinations(bound.tables)) {
-    PruneDecision decision = pruner.ShouldPrune(bound, mds, combo);
+    PruneDecision decision = pruner.ShouldPrune(bound, combo);
     EXPECT_TRUE(decision.pruned);
     EXPECT_EQ(decision.reason, "empty-partition");
   }
@@ -69,7 +67,6 @@ TEST_F(JoinPruningTest, TidRangePruningAfterTransactionalInserts) {
                                                  &next_item_id_));
   }
   BoundQuery bound = Bind();
-  std::vector<MdBinding> mds = ResolveMds(bound);
   JoinPruner pruner(&db_, PruneLevel::kFull);
 
   SubjoinCombination main_delta = {{0, PartitionKind::kMain},
@@ -78,11 +75,11 @@ TEST_F(JoinPruningTest, TidRangePruningAfterTransactionalInserts) {
                                    {0, PartitionKind::kMain}};
   SubjoinCombination delta_delta = {{0, PartitionKind::kDelta},
                                     {0, PartitionKind::kDelta}};
-  EXPECT_TRUE(pruner.ShouldPrune(bound, mds, main_delta).pruned);
-  EXPECT_EQ(pruner.ShouldPrune(bound, mds, main_delta).reason, "tid-range");
-  EXPECT_TRUE(pruner.ShouldPrune(bound, mds, delta_main).pruned);
+  EXPECT_TRUE(pruner.ShouldPrune(bound, main_delta).pruned);
+  EXPECT_EQ(pruner.ShouldPrune(bound, main_delta).reason, "tid-range");
+  EXPECT_TRUE(pruner.ShouldPrune(bound, delta_main).pruned);
   // delta x delta contains the matches and must not be pruned.
-  EXPECT_FALSE(pruner.ShouldPrune(bound, mds, delta_delta).pruned);
+  EXPECT_FALSE(pruner.ShouldPrune(bound, delta_delta).pruned);
 }
 
 TEST_F(JoinPruningTest, LateItemPreventsPruning) {
@@ -93,15 +90,14 @@ TEST_F(JoinPruningTest, LateItemPreventsPruning) {
   ASSERT_OK(item_->Insert(
       txn, {Value(next_item_id_++), Value(int64_t{2}), Value(1.0)}));
   BoundQuery bound = Bind();
-  std::vector<MdBinding> mds = ResolveMds(bound);
   JoinPruner pruner(&db_, PruneLevel::kFull);
   SubjoinCombination main_delta = {{0, PartitionKind::kMain},
                                    {0, PartitionKind::kDelta}};
-  EXPECT_FALSE(pruner.ShouldPrune(bound, mds, main_delta).pruned);
+  EXPECT_FALSE(pruner.ShouldPrune(bound, main_delta).pruned);
   // The reverse side stays prunable: Header_delta is empty.
   SubjoinCombination delta_main = {{0, PartitionKind::kDelta},
                                    {0, PartitionKind::kMain}};
-  EXPECT_TRUE(pruner.ShouldPrune(bound, mds, delta_main).pruned);
+  EXPECT_TRUE(pruner.ShouldPrune(bound, delta_main).pruned);
 }
 
 TEST_F(JoinPruningTest, PaperFigure5Scenario) {
@@ -116,17 +112,16 @@ TEST_F(JoinPruningTest, PaperFigure5Scenario) {
   }
   ASSERT_OK(db_.Merge("Header"));  // Item delta still holds items 4..5.
   BoundQuery bound = Bind();
-  std::vector<MdBinding> mds = ResolveMds(bound);
   JoinPruner pruner(&db_, PruneLevel::kFull);
   // Header_main x Item_delta cannot be pruned: the merged headers 4,5 match
   // delta items.
   SubjoinCombination main_delta = {{0, PartitionKind::kMain},
                                    {0, PartitionKind::kDelta}};
-  EXPECT_FALSE(pruner.ShouldPrune(bound, mds, main_delta).pruned);
+  EXPECT_FALSE(pruner.ShouldPrune(bound, main_delta).pruned);
   // Header_delta is empty -> prunable.
   SubjoinCombination delta_main = {{0, PartitionKind::kDelta},
                                    {0, PartitionKind::kMain}};
-  EXPECT_TRUE(pruner.ShouldPrune(bound, mds, delta_main).pruned);
+  EXPECT_TRUE(pruner.ShouldPrune(bound, delta_main).pruned);
 }
 
 TEST_F(JoinPruningTest, PrunedSubjoinsAreActuallyEmpty) {
@@ -145,14 +140,13 @@ TEST_F(JoinPruningTest, PrunedSubjoinsAreActuallyEmpty) {
   ASSERT_OK(db_.Merge("Item"));
 
   BoundQuery bound = Bind();
-  std::vector<MdBinding> mds = ResolveMds(bound);
   JoinPruner pruner(&db_, PruneLevel::kFull);
   Executor executor(&db_);
   Snapshot now = db_.txn_manager().GlobalSnapshot();
   size_t pruned = 0;
   for (const SubjoinCombination& combo :
        EnumerateAllCombinations(bound.tables)) {
-    if (!pruner.ShouldPrune(bound, mds, combo).pruned) continue;
+    if (!pruner.ShouldPrune(bound, combo).pruned) continue;
     ++pruned;
     auto result = executor.ExecuteSubjoin(bound, combo, now);
     ASSERT_TRUE(result.ok());
@@ -167,19 +161,18 @@ TEST_F(JoinPruningTest, AgingGroupPruning) {
   ASSERT_OK(item_->SplitHotCold("HeaderID", Value(int64_t{6})));
   db_.RegisterAgingGroup({"Header", "Item"});
   BoundQuery bound = Bind();
-  std::vector<MdBinding> mds = ResolveMds(bound);
   JoinPruner pruner(&db_, PruneLevel::kFull);
   // Hot header main x cold item main: logically pruned via aging group.
   SubjoinCombination cross = {{0, PartitionKind::kMain},
                               {1, PartitionKind::kMain}};
-  PruneDecision decision = pruner.ShouldPrune(bound, mds, cross);
+  PruneDecision decision = pruner.ShouldPrune(bound, cross);
   EXPECT_TRUE(decision.pruned);
   EXPECT_EQ(decision.reason, "aging-group");
   // Same temperature not pruned by rule 2 (and not by tid ranges, since
   // matching rows live there).
   SubjoinCombination hot_hot = {{0, PartitionKind::kMain},
                                 {0, PartitionKind::kMain}};
-  EXPECT_FALSE(pruner.ShouldPrune(bound, mds, hot_hot).pruned);
+  EXPECT_FALSE(pruner.ShouldPrune(bound, hot_hot).pruned);
 }
 
 TEST_F(JoinPruningTest, NoAgingGroupNoLogicalPruning) {
@@ -189,11 +182,10 @@ TEST_F(JoinPruningTest, NoAgingGroupNoLogicalPruning) {
   // No RegisterAgingGroup: rule 2 must not fire; tid ranges still prune
   // cross-temperature mains because the split is tid-correlated here.
   BoundQuery bound = Bind();
-  std::vector<MdBinding> mds = ResolveMds(bound);
   JoinPruner pruner(&db_, PruneLevel::kFull);
   SubjoinCombination cross = {{0, PartitionKind::kMain},
                               {1, PartitionKind::kMain}};
-  PruneDecision decision = pruner.ShouldPrune(bound, mds, cross);
+  PruneDecision decision = pruner.ShouldPrune(bound, cross);
   EXPECT_TRUE(decision.pruned);
   EXPECT_EQ(decision.reason, "tid-range");
 }

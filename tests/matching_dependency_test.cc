@@ -22,7 +22,7 @@ TEST_F(MatchingDependencyTest, ResolvesHeaderItemMd) {
   AggregateQuery query = testing_util::HeaderItemQuery();
   auto bound = BoundQuery::Bind(db_, query);
   ASSERT_TRUE(bound.ok());
-  std::vector<MdBinding> mds = ResolveMds(*bound);
+  const std::vector<MdBinding>& mds = bound->mds;
   ASSERT_EQ(mds.size(), 1u);
   EXPECT_EQ(mds[0].join_index, 0u);
   EXPECT_EQ(mds[0].left_table, 0u);   // Header (pk side).
@@ -45,7 +45,7 @@ TEST_F(MatchingDependencyTest, ResolvesRegardlessOfJoinDirection) {
                              .Build();
   auto bound = BoundQuery::Bind(db_, query);
   ASSERT_TRUE(bound.ok());
-  std::vector<MdBinding> mds = ResolveMds(*bound);
+  const std::vector<MdBinding>& mds = bound->mds;
   ASSERT_EQ(mds.size(), 1u);
   EXPECT_EQ(mds[0].left_table, 1u);   // Header is query table 1 here.
   EXPECT_EQ(mds[0].right_table, 0u);  // Item.
@@ -74,7 +74,7 @@ TEST_F(MatchingDependencyTest, NoMdWithoutTidColumns) {
                              .Build();
   auto bound = BoundQuery::Bind(db, query);
   ASSERT_TRUE(bound.ok());
-  EXPECT_TRUE(ResolveMds(*bound).empty());
+  EXPECT_TRUE(bound->mds.empty());
 }
 
 TEST_F(MatchingDependencyTest, NoMdForNonKeyJoin) {
@@ -87,7 +87,7 @@ TEST_F(MatchingDependencyTest, NoMdForNonKeyJoin) {
                              .Build();
   auto bound = BoundQuery::Bind(db_, query);
   ASSERT_TRUE(bound.ok());
-  EXPECT_TRUE(ResolveMds(*bound).empty());
+  EXPECT_TRUE(bound->mds.empty());
 }
 
 TEST_F(MatchingDependencyTest, VerifyMdHoldsOnTransactionalInserts) {

@@ -41,11 +41,10 @@ class PredicatePushdownTest : public ::testing::Test {
 
 TEST_F(PredicatePushdownTest, DerivesRangeFiltersAcrossMainDelta) {
   BoundQuery bound = Bind();
-  std::vector<MdBinding> mds = ResolveMds(bound);
   SubjoinCombination main_delta = {{0, PartitionKind::kMain},
                                    {0, PartitionKind::kDelta}};
   std::vector<FilterPredicate> filters =
-      DerivePushdownFilters(bound, mds, main_delta);
+      DerivePushdownFilters(bound, main_delta);
   // One MD edge crossing main/delta: two bounds per side.
   ASSERT_EQ(filters.size(), 4u);
   for (const FilterPredicate& f : filters) {
@@ -67,13 +66,12 @@ TEST_F(PredicatePushdownTest, DerivesRangeFiltersAcrossMainDelta) {
 
 TEST_F(PredicatePushdownTest, NoFiltersForSameKindPairs) {
   BoundQuery bound = Bind();
-  std::vector<MdBinding> mds = ResolveMds(bound);
   SubjoinCombination delta_delta = {{0, PartitionKind::kDelta},
                                     {0, PartitionKind::kDelta}};
-  EXPECT_TRUE(DerivePushdownFilters(bound, mds, delta_delta).empty());
+  EXPECT_TRUE(DerivePushdownFilters(bound, delta_delta).empty());
   SubjoinCombination main_main = {{0, PartitionKind::kMain},
                                   {0, PartitionKind::kMain}};
-  EXPECT_TRUE(DerivePushdownFilters(bound, mds, main_main).empty());
+  EXPECT_TRUE(DerivePushdownFilters(bound, main_main).empty());
 }
 
 TEST_F(PredicatePushdownTest, NoFiltersWhenSideEmpty) {
@@ -84,21 +82,19 @@ TEST_F(PredicatePushdownTest, NoFiltersWhenSideEmpty) {
   testing_util::CreateHeaderItemTables(&db, &h, &i);
   auto bound = BoundQuery::Bind(db, query_);
   ASSERT_TRUE(bound.ok());
-  std::vector<MdBinding> mds = ResolveMds(*bound);
   SubjoinCombination main_delta = {{0, PartitionKind::kMain},
                                    {0, PartitionKind::kDelta}};
-  EXPECT_TRUE(DerivePushdownFilters(*bound, mds, main_delta).empty());
+  EXPECT_TRUE(DerivePushdownFilters(*bound, main_delta).empty());
 }
 
 TEST_F(PredicatePushdownTest, PushdownPreservesSubjoinResult) {
   BoundQuery bound = Bind();
-  std::vector<MdBinding> mds = ResolveMds(bound);
   Executor executor(&db_);
   Snapshot now = db_.txn_manager().GlobalSnapshot();
   for (const SubjoinCombination& combo :
        EnumerateAllCombinations(bound.tables)) {
     std::vector<FilterPredicate> filters =
-        DerivePushdownFilters(bound, mds, combo);
+        DerivePushdownFilters(bound, combo);
     auto plain = executor.ExecuteSubjoin(bound, combo, now);
     auto pushed = executor.ExecuteSubjoin(bound, combo, now, filters);
     ASSERT_TRUE(plain.ok() && pushed.ok());
@@ -110,7 +106,6 @@ TEST_F(PredicatePushdownTest, PushdownPreservesSubjoinResult) {
 
 TEST_F(PredicatePushdownTest, PushdownReducesScannedRows) {
   BoundQuery bound = Bind();
-  std::vector<MdBinding> mds = ResolveMds(bound);
   Snapshot now = db_.txn_manager().GlobalSnapshot();
   // Header_delta x Item_main: only one late item in main matches; the
   // pushdown bounds Item_main's hash-build input by the delta tid range.
@@ -124,7 +119,7 @@ TEST_F(PredicatePushdownTest, PushdownReducesScannedRows) {
 
   ExecutorStats pushed_stats;
   std::vector<FilterPredicate> filters =
-      DerivePushdownFilters(bound, mds, delta_main);
+      DerivePushdownFilters(bound, delta_main);
   auto pushed = executor.ExecuteSubjoin(bound, delta_main, now, filters,
                                         /*restriction=*/nullptr,
                                         &pushed_stats);

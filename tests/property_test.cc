@@ -303,13 +303,12 @@ TEST_P(RandomWorkloadTest, PrunedSubjoinsAreEmpty) {
     if (step % 8 != 7) continue;
     auto bound = BoundQuery::Bind(db_, query);
     ASSERT_TRUE(bound.ok());
-    std::vector<MdBinding> mds = ResolveMds(*bound);
     JoinPruner pruner(&db_, PruneLevel::kFull);
     Executor executor(&db_);
     Snapshot now = db_.txn_manager().GlobalSnapshot();
     for (const SubjoinCombination& combo :
          EnumerateAllCombinations(bound->tables)) {
-      if (!pruner.ShouldPrune(*bound, mds, combo).pruned) continue;
+      if (!pruner.ShouldPrune(*bound, combo).pruned) continue;
       auto result = executor.ExecuteSubjoin(*bound, combo, now);
       ASSERT_TRUE(result.ok());
       EXPECT_TRUE(result->empty())

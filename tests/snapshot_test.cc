@@ -1,7 +1,11 @@
 #include "storage/snapshot.h"
 
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "common/string_util.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -198,6 +202,51 @@ TEST_F(SnapshotTest, CorruptSnapshotsRejectedWithLineNumbers) {
   std::istringstream bad_row(corrupted);
   Database restored3;
   EXPECT_FALSE(ReadSnapshot(bad_row, &restored3).ok());
+}
+
+TEST_F(SnapshotTest, MalformedCellsRejected) {
+  ASSERT_OK(testing_util::InsertBusinessObject(&db_, header_, item_, 1, 2013,
+                                               2, 1.5, &next_item_id_));
+  const std::string snapshot = Dump();
+  {
+    // The untouched text restores and dumps back byte for byte.
+    Database restored;
+    std::istringstream in(snapshot);
+    ASSERT_OK(ReadSnapshot(in, &restored));
+    std::ostringstream again;
+    ASSERT_OK(WriteSnapshot(restored, again));
+    EXPECT_EQ(again.str(), snapshot);
+  }
+  // Replaces the value of `column` in the first row of `table` ("row
+  // <create tid> <invalidate tid> <values...>"; these tables hold no
+  // strings, so values split on spaces).
+  auto with_cell = [&](const Table* table, const std::string& column,
+                       const std::string& cell) {
+    size_t row = snapshot.find("\nrow ", snapshot.find("table " +
+                                                       table->name())) +
+                 1;
+    size_t eol = snapshot.find('\n', row);
+    std::istringstream fields(snapshot.substr(row, eol - row));
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) tokens.push_back(token);
+    tokens[3 + table->schema().ColumnIndex(column).value()] = cell;
+    return snapshot.substr(0, row) + StrJoin(tokens, " ") +
+           snapshot.substr(eol);
+  };
+  for (const auto& [table, column, cell] :
+       std::vector<std::tuple<const Table*, std::string, std::string>>{
+           {header_, "HeaderID", "12x"},
+           {header_, "FiscalYear", "abc"},
+           {header_, "FiscalYear", "2013.5"},
+           {item_, "Amount", "1.5x"},
+           {item_, "Amount", "abc"},
+           {item_, "tid_Item", "5 5"}}) {
+    Database restored;
+    std::istringstream in(with_cell(table, column, cell));
+    EXPECT_EQ(ReadSnapshot(in, &restored).code(),
+              StatusCode::kInvalidArgument)
+        << table->name() << "." << column << " = " << cell;
+  }
 }
 
 }  // namespace

@@ -29,13 +29,13 @@ class FaultInjectorTest : public ::testing::Test {
 };
 
 TEST_F(FaultInjectorTest, UnarmedPointNeverFails) {
-  EXPECT_OK(FaultInjector::Global().MaybeFail("maintenance.bind"));
+  EXPECT_OK(FaultInjector::Global().MaybeFail("maintenance.compensate"));
   EXPECT_FALSE(FaultInjector::Global().AnyArmed());
 }
 
 TEST_F(FaultInjectorTest, ArmedPointFailsWithTaggedStatus) {
-  FaultInjector::Global().Arm("maintenance.bind", {/*probability=*/1.0});
-  Status status = FaultInjector::Global().MaybeFail("maintenance.bind");
+  FaultInjector::Global().Arm("maintenance.compensate", {/*probability=*/1.0});
+  Status status = FaultInjector::Global().MaybeFail("maintenance.compensate");
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(FaultInjector::IsInjectedFault(status)) << status.ToString();
   // Other points stay unaffected.
