@@ -127,20 +127,26 @@ void Run(BenchContext& ctx) {
     ExecutionOptions no_pruning;
     no_pruning.strategy = ExecutionStrategy::kCachedNoPruning;
     no_pruning.stats = &exec_stats;
-    LatencyStats no_pruning_stats = MeasureMs(kReps, [&] {
-      Transaction txn = chain.db->Begin();
-      CheckOk(cache.Execute(query, txn, no_pruning).status(), "np");
-    });
+    LatencyStats no_pruning_stats = MeasureMs(
+        kReps,
+        [&] {
+          Transaction txn = chain.db->Begin();
+          CheckOk(cache.Execute(query, txn, no_pruning).status(), "np");
+        },
+        ColdMemo(cache, query));
     double no_pruning_ms = no_pruning_stats.median_ms;
     uint64_t np_subjoins = exec_stats.subjoins_executed;
 
     ExecutionOptions full;
     full.strategy = ExecutionStrategy::kCachedFullPruning;
     full.stats = &exec_stats;
-    LatencyStats full_stats = MeasureMs(kReps, [&] {
-      Transaction txn = chain.db->Begin();
-      CheckOk(cache.Execute(query, txn, full).status(), "full");
-    });
+    LatencyStats full_stats = MeasureMs(
+        kReps,
+        [&] {
+          Transaction txn = chain.db->Begin();
+          CheckOk(cache.Execute(query, txn, full).status(), "full");
+        },
+        ColdMemo(cache, query));
     double full_ms = full_stats.median_ms;
     uint64_t full_subjoins = exec_stats.subjoins_executed;
 

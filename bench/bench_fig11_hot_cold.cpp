@@ -132,11 +132,14 @@ void Run(BenchContext& ctx) {
       for (const StrategySpec& s : strategies) {
         ExecutionOptions options;
         options.strategy = s.strategy;
-        LatencyStats stats = MeasureMs(kReps, [&] {
-          Transaction txn = world->db->Begin();
-          CheckOk(world->cache->Execute(query, txn, options).status(),
-                  "execute");
-        });
+        LatencyStats stats = MeasureMs(
+            kReps,
+            [&] {
+              Transaction txn = world->db->Begin();
+              CheckOk(world->cache->Execute(query, txn, options).status(),
+                      "execute");
+            },
+            ColdMemo(*world->cache, query));
         ctx.report().AddLatency("query_ms",
                                 {{"strategy", s.label},
                                  {"layout", layout_names[layout_index]},

@@ -67,10 +67,13 @@ void Run(BenchContext& ctx) {
       ExecutionOptions options;
       options.strategy = s.strategy;
       options.use_predicate_pushdown = s.pushdown;
-      LatencyStats stats = MeasureMs(reps, [&] {
-        Transaction txn = db.Begin();
-        CheckOk(cache.Execute(query, txn, options).status(), "execute");
-      });
+      LatencyStats stats = MeasureMs(
+          reps,
+          [&] {
+            Transaction txn = db.Begin();
+            CheckOk(cache.Execute(query, txn, options).status(), "execute");
+          },
+          ColdMemo(cache, query));
       ctx.report().AddLatency("query_ms",
                               {{"strategy", s.label},
                                {"item_delta_target", StrFormat("%zu", target)}},

@@ -57,10 +57,13 @@ void Run(BenchContext& ctx) {
       ExecutionOptions options;
       options.strategy = s.strategy;
       options.stats = &exec_stats;
-      LatencyStats stats = MeasureMs(kReps, [&] {
-        Transaction txn = db.Begin();
-        CheckOk(cache.Execute(query, txn, options).status(), "execute");
-      });
+      LatencyStats stats = MeasureMs(
+          kReps,
+          [&] {
+            Transaction txn = db.Begin();
+            CheckOk(cache.Execute(query, txn, options).status(), "execute");
+          },
+          ColdMemo(cache, query));
       if (s.strategy == ExecutionStrategy::kCachedFullPruning) {
         pruned = exec_stats.subjoins_pruned;
         total = pruned + exec_stats.subjoins_executed;

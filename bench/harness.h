@@ -41,8 +41,10 @@ inline size_t ApplyThreadsFlag(int argc, char** argv) {
 /// Runs `fn` once untimed (discarded warm-up — the first rep runs cold:
 /// cache entries build, pool threads spin up, allocators touch fresh pages,
 /// all of which skews low-rep medians) and then `reps` timed repetitions;
-/// returns nearest-rank {p5, median, p95} wall-clock milliseconds.
-inline LatencyStats MeasureMs(int reps, const std::function<void()>& fn) {
+/// returns nearest-rank {p5, median, p95} wall-clock milliseconds. When
+/// given, `before` runs untimed ahead of every call of `fn` (ColdMemo).
+inline LatencyStats MeasureMs(int reps, const std::function<void()>& fn,
+                              const std::function<void()>& before = {}) {
   if (reps < 1) {
     // An empty sample set would flow into SummarizeLatencies and silently
     // report all-zero latencies — which a perf gate would read as a huge
@@ -51,10 +53,12 @@ inline LatencyStats MeasureMs(int reps, const std::function<void()>& fn) {
                  reps);
     std::abort();
   }
+  if (before) before();
   fn();
   std::vector<double> times;
   times.reserve(reps);
   for (int r = 0; r < reps; ++r) {
+    if (before) before();
     Stopwatch watch;
     fn();
     times.push_back(watch.ElapsedMillis());
@@ -78,6 +82,18 @@ T CheckOk(StatusOr<T> result, const char* what) {
     std::abort();
   }
   return std::move(result).value();
+}
+
+/// A `before` for MeasureMs: rebuilds `query`'s cache entry, so the next
+/// cached read starts from a cold delta memo and compensates every delta
+/// row, the work the paper's figures time. A repeated read over an
+/// unchanged delta would otherwise be answered by the memo alone.
+inline std::function<void()> ColdMemo(AggregateCacheManager& cache,
+                                      const AggregateQuery& query) {
+  return [&cache, &query] {
+    cache.Clear();
+    CheckOk(cache.Prewarm(query), "prewarm");
+  };
 }
 
 /// Fixed-width text table, printed in the style of the paper's figures:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <shared_mutex>
@@ -88,6 +89,54 @@ Snapshot EntryBuildSnapshot(const Database& db, const BoundQuery& bound,
     }
   }
   return snapshot;
+}
+
+/// The invalidations of `main` that `snapshot` sees as stable: its whole
+/// counter, unless a writer whose tid the snapshot does not cover already
+/// invalidated a row. That row is still visible at `snapshot`, so the
+/// entry's recorded count must stay below the partition's until a newer
+/// reader compensates it; recording the whole counter would hide the row's
+/// invalidation from every later reader.
+uint64_t StableInvalidationCount(const Partition& main,
+                                 const Snapshot& snapshot) {
+  if (snapshot.TidStable(main.max_invalidate_tid())) {
+    return main.invalidation_count();
+  }
+  uint64_t stable = 0;
+  for (Tid tid : main.invalidate_tids()) {
+    stable += tid != kNoTid && snapshot.TidStable(tid) ? 1 : 0;
+  }
+  return stable;
+}
+
+void CountMemoReset(MemoReset reason) {
+  EngineMetrics::Get().memo_resets[static_cast<size_t>(reason)]->Increment();
+}
+
+/// Fills the trace's memo verdict: used (with the prefixes it served),
+/// reset (with its reason: the read's own, else why the entry dropped its
+/// last memo), or cold.
+void RecordMemoVerdict(QueryTrace& trace, const BoundQuery& bound,
+                       const DeltaMemo* memo, MemoReset dropped,
+                       const DeltaCompensation& comp) {
+  if (comp.memo_used) {
+    trace.memo_verdict = "used";
+    for (size_t t = 0; t < bound.tables.size(); ++t) {
+      for (size_t g = 0; g < memo->prefixes[t].size(); ++g) {
+        trace.memo_prefixes.emplace_back(
+            StrFormat("%s[g%zu]", bound.tables[t]->name().c_str(), g),
+            memo->prefixes[t][g].rows);
+      }
+    }
+    return;
+  }
+  MemoReset reason = comp.reset != MemoReset::kNone ? comp.reset : dropped;
+  if (reason == MemoReset::kNone) {
+    trace.memo_verdict = "cold";
+    return;
+  }
+  trace.memo_verdict = "reset";
+  trace.memo_reason = MemoResetToString(reason);
 }
 
 void AppendPerfJson(std::string* out, const PerfDelta& delta) {
@@ -244,12 +293,49 @@ void AggregateCacheManager::SetBytesAccountedLocked(CacheEntry& entry,
   entry.bytes_accounted = accounted;
 }
 
-void AggregateCacheManager::PublishEntry(CacheEntry& entry) {
+void AggregateCacheManager::ResizeEntry(CacheEntry& entry,
+                                        const std::function<void()>& change) {
   std::lock_guard<std::mutex> lock(bytes_mu_);
   const bool accounted = entry.bytes_accounted;
   SetBytesAccountedLocked(entry, false);
-  entry.PublishMainResult();
+  change();
   SetBytesAccountedLocked(entry, accounted);
+}
+
+void AggregateCacheManager::PublishEntry(CacheEntry& entry) {
+  ResizeEntry(entry, [&] { entry.PublishMainResult(); });
+}
+
+void AggregateCacheManager::DropDeltaMemo(CacheEntry& entry,
+                                          MemoReset reason) {
+  bool dropped = false;
+  ResizeEntry(entry, [&] { dropped = entry.DropDeltaMemo(reason); });
+  if (dropped) CountMemoReset(reason);
+}
+
+void AggregateCacheManager::PublishDeltaMemo(CacheEntry& entry,
+                                             const DeltaMemo* expected,
+                                             const DeltaCompensation& comp) {
+  bool published = false;
+  if (comp.publish.has_value()) {
+    ResizeEntry(entry, [&] {
+      published =
+          entry.PublishDeltaMemo(expected, *comp.publish, comp.reset);
+    });
+  }
+  // A stale memo counts once, by the read that replaced it; a bypass or a
+  // refused publish counts per read.
+  switch (comp.reset) {
+    case MemoReset::kNone:
+      break;
+    case MemoReset::kInvalidation:
+    case MemoReset::kRebuild:
+      if (published) CountMemoReset(comp.reset);
+      break;
+    default:
+      CountMemoReset(comp.reset);
+      break;
+  }
 }
 
 void AggregateCacheManager::Clear() {
@@ -351,6 +437,7 @@ Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
   const BoundQuery& bound = entry.bound();
   EngineMetrics::Get().cache_rebuilds->Increment();
   Phase build(SpanKind::kEntryBuild);
+  DropDeltaMemo(entry, MemoReset::kRebuild);
   entry.main_partials().clear();
   // Cross-temperature all-main combos can be pruned logically at build time
   // (Section 5.4); tid-range pruning is sound here as well. Pruned
@@ -401,7 +488,7 @@ void AggregateCacheManager::RefreshSnapshots(CacheEntry& entry,
       snap.visibility = ConsistentViewManager::ComputeVisibility(
           main.create_tids(), main.invalidate_tids(), snapshot);
       snap.row_count = main.num_rows();
-      snap.invalidation_count = main.invalidation_count();
+      snap.invalidation_count = StableInvalidationCount(main, snapshot);
     }
   }
   // The visibility just computed reflects exactly this snapshot: readers
@@ -612,7 +699,7 @@ Status AggregateCacheManager::IncrementalMainCompensate(
           task.restriction.rows[t] = negative[t][combo[t].group];
         }
       }
-      RecordSubjoin(bound, combo, "main-correction", PruneDecision{}, {},
+      RecordSubjoin(bound, task, "main-correction", PruneDecision{},
                     /*md_tid_ranges=*/false);
       tasks.push_back(std::move(task));
       task_partial.push_back(dirty_partials.size() - 1);
@@ -644,7 +731,8 @@ Status AggregateCacheManager::IncrementalMainCompensate(
       if (negative[t][g].empty()) continue;
       CacheEntry::MainSnapshot& snap = entry.snapshots()[t][g];
       snap.visibility = std::move(current_visibility[t][g]);
-      snap.invalidation_count = table.group(g).main.invalidation_count();
+      snap.invalidation_count =
+          StableInvalidationCount(table.group(g).main, snapshot);
     }
   }
   entry.set_base_tid(snapshot.read_tid);
@@ -817,12 +905,15 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   // Fast path: a clean entry only needs the shared lock — concurrent hits
   // on one entry proceed in parallel.
   AggregateResult main_result;
+  std::shared_ptr<const DeltaMemo> memo;
+  MemoReset memo_dropped = MemoReset::kNone;
   bool have_main = false;
   {
     std::shared_lock<std::shared_mutex> value_lock(entry->value_mutex());
     if (entry->base_tid() <= snapshot.read_tid && entry->ShapeMatches() &&
         !entry->IsDirty()) {
       main_result = entry->main_result();
+      memo = entry->delta_memo(&memo_dropped);
       have_main = true;
       if (!stats->entry_created) stats->cache_hit = true;
     }
@@ -860,20 +951,26 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
     // Take the published result before dropping the lock; a later
     // republish swaps in a new shared map and leaves this one intact.
     main_result = entry->main_result();
+    memo = entry->delta_memo(&memo_dropped);
   }
   lookup->End();
 
   // Delta compensation needs no entry lock: it reads only table state,
-  // which the ReadView keeps frozen. The phase also covers the union with
-  // the cached main result and HAVING.
+  // which the ReadView keeps frozen, and the memo, which is immutable. The
+  // phase also covers publishing the advanced memo, the union with the
+  // cached main result, and HAVING.
   Phase delta(SpanKind::kDeltaCompensation);
   JoinPruner pruner(db_, PruneLevelFor(options.strategy));
   ExecutorStats comp_stats;
-  ASSIGN_OR_RETURN(AggregateResult delta_result,
+  ASSIGN_OR_RETURN(DeltaCompensation comp,
                    DeltaCompensate(executor_, bound, pruner,
                                    options.use_predicate_pushdown, snapshot,
-                                   &comp_stats));
-  main_result.MergeFrom(delta_result);
+                                   memo.get(), &comp_stats));
+  PublishDeltaMemo(*entry, memo.get(), comp);
+  if (trace != nullptr) {
+    RecordMemoVerdict(*trace, bound, memo.get(), memo_dropped, comp);
+  }
+  main_result.MergeFrom(comp.result);
   AggregateResult result = query.ApplyHaving(std::move(main_result));
   delta.End();
 
@@ -1211,28 +1308,20 @@ void AggregateCacheManager::OnBeforeMerge(Table& table, size_t group_index,
     std::optional<size_t> table_pos = TablePosition(*entry, table);
     if (!table_pos) continue;
     std::unique_lock<std::shared_mutex> value_lock(entry->value_mutex());
-    Stopwatch watch;
+    // The merge replaces the partitions the memo's prefixes index into.
+    DropDeltaMemo(*entry, MemoReset::kMerge);
     if (!entry->ShapeMatches()) {
-      // Stale shape; rebuild now, the delta rows are still visible so the
-      // rebuilt entry is folded below only if needed. Rebuilding computes
-      // mains only, so fold the delta in unconditionally afterwards.
-      Status status =
-          FaultInjector::Global().MaybeFail("maintenance.rebuild");
-      if (status.ok()) status = RebuildEntry(*entry, snapshot, nullptr);
-      if (!status.ok()) {
-        RecordMaintenanceFailure(*entry, status);
-        continue;
-      }
-    } else {
-      Status status =
-          FaultInjector::Global().MaybeFail("maintenance.compensate");
-      if (status.ok()) {
-        status = MainCompensate(*entry, snapshot, nullptr);
-      }
-      if (!status.ok()) {
-        RecordMaintenanceFailure(*entry, status);
-        continue;
-      }
+      // Marked or stale-shaped: the next access rebuilds it from the merged
+      // mains, as OnAfterMerge defers it; nothing to fold into.
+      entry->MarkForRebuild();
+      continue;
+    }
+    Stopwatch watch;
+    Status status = FaultInjector::Global().MaybeFail("maintenance.compensate");
+    if (status.ok()) status = MainCompensate(*entry, snapshot, nullptr);
+    if (!status.ok()) {
+      RecordMaintenanceFailure(*entry, status);
+      continue;
     }
 
     // Fold the merging delta into every cached partial whose combination

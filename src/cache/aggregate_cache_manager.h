@@ -2,6 +2,7 @@
 #define AGGCACHE_CACHE_AGGREGATE_CACHE_MANAGER_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -276,12 +277,27 @@ class AggregateCacheManager : public MergeObserver,
   void TouchEntry(CacheEntry& entry);
   void EvictIfNeeded(const CacheEntry* keep = nullptr);
 
+  /// Runs `change`, which may change the entry's size_bytes, with the
+  /// entry's bytes taken out of the running total and put back after
+  /// (while they are accounted; see CacheEntry::bytes_accounted). Holds
+  /// bytes_mu_ throughout.
+  void ResizeEntry(CacheEntry& entry, const std::function<void()>& change);
+
   /// Publishes the entry's main result and refreshes its size_bytes
-  /// (CacheEntry::PublishMainResult), keeping the running byte total in
-  /// step while the entry's bytes are accounted (see
-  /// CacheEntry::bytes_accounted). Called under the exclusive value lock
-  /// after every change to the partials or snapshots.
+  /// (CacheEntry::PublishMainResult) through ResizeEntry. Called under the
+  /// exclusive value lock after every change to the partials or snapshots.
   void PublishEntry(CacheEntry& entry);
+
+  /// Drops the entry's delta memo for `reason` (a merge or a rebuild),
+  /// counting the reset when there was one.
+  void DropDeltaMemo(CacheEntry& entry, MemoReset reason);
+
+  /// Publishes the memo `comp` carries in place of `expected` (the memo the
+  /// read started from) when that is still published, and counts the
+  /// read's memo reset, if any. Needs no value lock: a read that lost the
+  /// race to a concurrent publisher just drops its memo.
+  void PublishDeltaMemo(CacheEntry& entry, const DeltaMemo* expected,
+                        const DeltaCompensation& comp);
 
   /// The one place an entry's bytes enter or leave total_bytes_ and the
   /// Cache() memory tracker: sets entry.bytes_accounted to `accounted`,

@@ -51,7 +51,42 @@ void CacheEntry::PublishMainResult() {
       bytes += snapshot.visibility.ByteSize() + sizeof(MainSnapshot);
     }
   }
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  if (memo_ != nullptr) bytes += memo_->bytes;
   metrics_.size_bytes = bytes;
+}
+
+std::shared_ptr<const DeltaMemo> CacheEntry::delta_memo(
+    MemoReset* dropped) const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  if (dropped != nullptr) *dropped = memo_dropped_;
+  return memo_;
+}
+
+bool CacheEntry::PublishDeltaMemo(const DeltaMemo* expected,
+                                  std::shared_ptr<const DeltaMemo> next,
+                                  MemoReset reason) {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  if (memo_.get() != expected) return false;
+  SwapDeltaMemoLocked(std::move(next), reason);
+  return true;
+}
+
+bool CacheEntry::DropDeltaMemo(MemoReset reason) {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  if (memo_ == nullptr) return false;
+  SwapDeltaMemoLocked(nullptr, reason);
+  return true;
+}
+
+void CacheEntry::SwapDeltaMemoLocked(std::shared_ptr<const DeltaMemo> next,
+                                     MemoReset reason) {
+  size_t bytes = metrics_.size_bytes;
+  if (memo_ != nullptr) bytes -= memo_->bytes;
+  if (next != nullptr) bytes += next->bytes;
+  metrics_.size_bytes = bytes;
+  memo_ = std::move(next);
+  memo_dropped_ = memo_ != nullptr ? MemoReset::kNone : reason;
 }
 
 }  // namespace aggcache

@@ -4,12 +4,14 @@
 #include <atomic>
 #include <condition_variable>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <vector>
 
 #include "cache/cache_key.h"
 #include "cache/cache_metrics.h"
+#include "cache/compensation.h"
 #include "common/bit_vector.h"
 #include "obs/flight_recorder.h"
 #include "query/aggregate_result.h"
@@ -99,8 +101,8 @@ class CacheEntry {
   const AggregateResult& main_result() const { return main_result_; }
 
   /// Merges the partials into a fresh shared main_result() and recomputes
-  /// metrics().size_bytes. Runs under the exclusive value lock after every
-  /// change to the partials or snapshots.
+  /// metrics().size_bytes, the delta memo's bytes included. Runs under the
+  /// exclusive value lock after every change to the partials or snapshots.
   void PublishMainResult();
 
   /// Snapshots indexed [query table][partition group].
@@ -147,6 +149,28 @@ class CacheEntry {
   /// and falls back to uncached execution. Guarded by value_mutex().
   Tid base_tid() const { return base_tid_; }
   void set_base_tid(Tid tid) { base_tid_ = tid; }
+
+  // -- Delta memo (DESIGN.md §6c) ------------------------------------------
+
+  /// The published delta memo, or null. `dropped`, when given, receives
+  /// why the last one was dropped (kNone while one is published or none
+  /// ever was). Takes only the memo's own mutex, never the value lock, so
+  /// publishing never waits behind a compensation and readers never wait
+  /// behind a publisher for longer than a pointer copy.
+  std::shared_ptr<const DeltaMemo> delta_memo(
+      MemoReset* dropped = nullptr) const;
+
+  /// Publishes `next` in place of the memo while the published one is still
+  /// `expected`; returns whether it did. A null `next` drops the memo for
+  /// `reason`. Keeps metrics().size_bytes in step; the cache manager calls
+  /// this under its byte-accounting mutex.
+  bool PublishDeltaMemo(const DeltaMemo* expected,
+                        std::shared_ptr<const DeltaMemo> next,
+                        MemoReset reason);
+
+  /// Drops whatever memo is published for `reason`; returns whether there
+  /// was one. Same locking as PublishDeltaMemo.
+  bool DropDeltaMemo(MemoReset reason);
 
   // -- State machine -------------------------------------------------------
 
@@ -207,6 +231,10 @@ class CacheEntry {
   bool bytes_accounted = false;
 
  private:
+  /// Swaps in `next`, adjusting size_bytes. Caller holds memo_mu_.
+  void SwapDeltaMemoLocked(std::shared_ptr<const DeltaMemo> next,
+                           MemoReset reason);
+
   /// Ships every lifecycle edge to the flight recorder: a = key hash (the
   /// entry's stable id across its whole life), b = from<<8 | to. Called
   /// outside state_mu_ — the recorder is lock-free and ordering across
@@ -226,6 +254,10 @@ class CacheEntry {
   std::vector<std::vector<MainSnapshot>> snapshots_;
   CacheEntryMetrics metrics_;
   Tid base_tid_ = 0;
+
+  mutable std::mutex memo_mu_;
+  std::shared_ptr<const DeltaMemo> memo_;  ///< Guarded by memo_mu_.
+  MemoReset memo_dropped_ = MemoReset::kNone;  ///< Guarded by memo_mu_.
 
   mutable std::shared_mutex value_mu_;
   mutable std::mutex state_mu_;

@@ -1,5 +1,7 @@
 #include "objectaware/join_pruning.h"
 
+#include <algorithm>
+
 #include "obs/engine_metrics.h"
 
 namespace aggcache {
@@ -19,18 +21,46 @@ const char* PruneLevelToString(PruneLevel level) {
 JoinPruner::JoinPruner(const Database* db, PruneLevel level)
     : db_(db), level_(level) {}
 
+TidBounds TidBounds::Of(const Partition& p, size_t column, RowRange rows) {
+  TidBounds bounds;
+  const Column& col = p.column(column);
+  const uint32_t end =
+      static_cast<uint32_t>(std::min<size_t>(rows.end, p.num_rows()));
+  if (rows.begin >= end) return bounds;
+  if (rows.begin == 0 && end == p.num_rows()) {
+    bounds.empty = false;
+    bounds.min = col.dictionary().min_value().AsInt64();
+    bounds.max = col.dictionary().max_value().AsInt64();
+    return bounds;
+  }
+  for (uint32_t r = rows.begin; r < end; ++r) {
+    int64_t tid = col.GetValue(r).AsInt64();
+    bounds.Extend(TidBounds{false, tid, tid});
+  }
+  return bounds;
+}
+
+void TidBounds::Extend(const TidBounds& other) {
+  if (other.empty) return;
+  if (empty) {
+    *this = other;
+    return;
+  }
+  min = std::min(min, other.min);
+  max = std::max(max, other.max);
+}
+
 bool TidRangesDisjoint(const Partition& left, size_t left_tid_column,
                        const Partition& right, size_t right_tid_column) {
   // Empty partitions have empty ranges; the paper defines min()/max() so
   // the prefilter is true for all pairs involving an empty partition.
-  if (left.empty() || right.empty()) return true;
-  const Dictionary& ld = left.column(left_tid_column).dictionary();
-  const Dictionary& rd = right.column(right_tid_column).dictionary();
-  return ld.max_value() < rd.min_value() || rd.max_value() < ld.min_value();
+  return TidBounds::Of(left, left_tid_column)
+      .Disjoint(TidBounds::Of(right, right_tid_column));
 }
 
 PruneDecision JoinPruner::ShouldPrune(const BoundQuery& bound,
-                                      const SubjoinCombination& combination) {
+                                      const SubjoinCombination& combination,
+                                      const TidBoundsFn& tid_bounds) {
   ++stats_.considered;
   const EngineMetrics& metrics = EngineMetrics::Get();
   metrics.prune_considered->Increment();
@@ -62,15 +92,14 @@ PruneDecision JoinPruner::ShouldPrune(const BoundQuery& bound,
   }
 
   // Rule 3: the Eq. 5 tid-range prefilter on every MD-covered join edge.
+  auto bounds_of = [&](size_t table, size_t column) {
+    if (tid_bounds) return tid_bounds(table, column);
+    return TidBounds::Of(
+        ResolvePartition(*bound.tables[table], combination[table]), column);
+  };
   for (const MdBinding& md : bound.mds) {
-    const Partition& left =
-        ResolvePartition(*bound.tables[md.left_table],
-                         combination[md.left_table]);
-    const Partition& right =
-        ResolvePartition(*bound.tables[md.right_table],
-                         combination[md.right_table]);
-    if (TidRangesDisjoint(left, md.left_tid_column, right,
-                          md.right_tid_column)) {
+    if (bounds_of(md.left_table, md.left_tid_column)
+            .Disjoint(bounds_of(md.right_table, md.right_tid_column))) {
       ++stats_.pruned_tid_range;
       metrics.pruned_tid_range->Increment();
       return PruneDecision{true, "tid-range"};

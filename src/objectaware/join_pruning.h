@@ -1,6 +1,8 @@
 #ifndef AGGCACHE_OBJECTAWARE_JOIN_PRUNING_H_
 #define AGGCACHE_OBJECTAWARE_JOIN_PRUNING_H_
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,31 @@ struct PruneDecision {
   /// empty when not pruned.
   std::string reason;
 };
+
+/// Min and max of one tid column over the rows a subjoin reads of one
+/// partition: the interval Eq. 5 compares. `empty` when no row is read.
+struct TidBounds {
+  bool empty = true;
+  int64_t min = 0;
+  int64_t max = 0;
+
+  /// Over `rows` of `p`: the dictionary's min/max when the range covers the
+  /// whole partition (Eq. 5 as the paper states it), else a scan of the
+  /// range's values.
+  static TidBounds Of(const Partition& p, size_t column, RowRange rows = {});
+
+  /// Widens these bounds to cover `other` as well.
+  void Extend(const TidBounds& other);
+
+  /// True when the two intervals share no tid (or either is empty).
+  bool Disjoint(const TidBounds& other) const {
+    return empty || other.empty || max < other.min || other.max < min;
+  }
+};
+
+/// The tid bounds of (query table, tid column) over the rows one planned
+/// subjoin reads of that table.
+using TidBoundsFn = std::function<TidBounds(size_t table, size_t column)>;
 
 /// Per-query statistics for benches and tests.
 struct PruneStats {
@@ -59,9 +86,13 @@ class JoinPruner {
   JoinPruner(const Database* db, PruneLevel level);
 
   /// Decides whether `combination` can be skipped; rule 3 reads the
-  /// query's MDs from `bound.mds`.
+  /// query's MDs from `bound.mds` and compares, per MD edge, the bounds
+  /// `tid_bounds` gives (the whole partitions' when it is empty). A planner
+  /// whose subjoin reads only a row range of some partition passes the
+  /// bounds of that range: new objects' items then join only new headers.
   PruneDecision ShouldPrune(const BoundQuery& bound,
-                            const SubjoinCombination& combination);
+                            const SubjoinCombination& combination,
+                            const TidBoundsFn& tid_bounds = nullptr);
 
   PruneLevel level() const { return level_; }
   const PruneStats& stats() const { return stats_; }

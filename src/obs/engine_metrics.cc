@@ -1,5 +1,8 @@
 #include "obs/engine_metrics.h"
 
+#include <iterator>
+#include <string>
+
 #include "obs/build_info.h"
 
 namespace aggcache {
@@ -44,6 +47,18 @@ const EngineMetrics& EngineMetrics::Get() {
     m->cache_delta_comp_us = r.GetHistogram(
         "aggcache_cache_delta_comp_us",
         "Delta compensation latency in microseconds");
+    // In MemoReset order.
+    const char* memo_reset_reasons[] = {nullptr,  "invalidation",
+                                        "merge",  "rebuild",
+                                        "older_snapshot", "unstable_rows"};
+    for (size_t i = 1; i < std::size(memo_reset_reasons); ++i) {
+      m->memo_resets[i] = r.GetCounter(
+          std::string("aggcache_cache_memo_resets_") + memo_reset_reasons[i] +
+              "_total",
+          std::string("Delta-memo resets for reason '") +
+              memo_reset_reasons[i] + "'");
+    }
+    m->memo_resets[0] = nullptr;
 
     m->entry_hit_us = r.GetHistogram(
         "aggcache_entry_hit_us",

@@ -29,6 +29,11 @@ struct EngineMetrics {
   Histogram* cache_build_us;         ///< Entry (re)build latency.
   Histogram* cache_main_comp_us;     ///< Main compensation latency.
   Histogram* cache_delta_comp_us;    ///< Delta compensation latency.
+  /// Delta-memo resets by reason (DESIGN.md §6c), indexed by MemoReset
+  /// (cache/compensation.h); slot 0, "none", stays null. The registry has
+  /// no series dimension, so the reason is part of each counter's name:
+  /// aggcache_cache_memo_resets_<reason>_total.
+  Counter* memo_resets[6];
 
   // Per-entry cost/benefit ledger, aggregated across entries (the per-entry
   // breakdown lives in AggregateCacheManager::LedgerJson() — per-entry

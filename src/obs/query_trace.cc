@@ -47,6 +47,15 @@ std::string QueryTrace::ToText() const {
       << (use_pushdown ? "on" : "off") << "\n";
   out << "  snapshot tid: " << snapshot_tid << "\n";
   out << "  cache: " << cache_outcome << "\n";
+  if (!memo_verdict.empty()) {
+    out << "  delta memo: " << memo_verdict;
+    if (!memo_reason.empty()) out << " (" << memo_reason << ")";
+    for (size_t i = 0; i < memo_prefixes.size(); ++i) {
+      out << (i == 0 ? ", prefix " : ", ") << memo_prefixes[i].first << " "
+          << memo_prefixes[i].second << " rows";
+    }
+    out << "\n";
+  }
   out << StrFormat(
       "  phases: build %.3f ms, main-comp %.3f ms, delta-comp %.3f ms, "
       "total %.3f ms\n",
@@ -107,6 +116,17 @@ std::string QueryTrace::ToJson() const {
       << ",\"pushdown\":" << (use_pushdown ? "true" : "false")
       << ",\"snapshot_tid\":" << snapshot_tid << ",\"cache\":\""
       << JsonEscape(cache_outcome) << "\"";
+  if (!memo_verdict.empty()) {
+    out << ",\"delta_memo\":{\"verdict\":\"" << JsonEscape(memo_verdict)
+        << "\",\"reason\":\"" << JsonEscape(memo_reason)
+        << "\",\"prefix_rows\":{";
+    for (size_t i = 0; i < memo_prefixes.size(); ++i) {
+      if (i > 0) out << ",";
+      out << "\"" << JsonEscape(memo_prefixes[i].first)
+          << "\":" << memo_prefixes[i].second;
+    }
+    out << "}}";
+  }
   out << StrFormat(
       ",\"phases\":{\"build_ms\":%.3f,\"main_comp_ms\":%.3f,"
       "\"delta_comp_ms\":%.3f,\"total_ms\":%.3f}",

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/perf_counters.h"
@@ -62,6 +63,16 @@ struct QueryTrace {
   /// "hit", "miss", "rebuilt", "uncached", "not-cacheable",
   /// "admission-rejected", or "snapshot-fallback".
   std::string cache_outcome;
+
+  /// The delta memo's verdict on this read (DESIGN.md §6c): "used",
+  /// "reset" or "cold" (the entry has had none yet); empty when delta
+  /// compensation did not run. Rendered only when set.
+  std::string memo_verdict;
+  /// Why it was reset: "invalidation", "merge", "rebuild",
+  /// "older-snapshot" or "unstable-rows".
+  std::string memo_reason;
+  /// When used: each delta's prefix the memo served, e.g. {"Item[g0]", 36012}.
+  std::vector<std::pair<std::string, uint64_t>> memo_prefixes;
 
   double build_ms = 0.0;       ///< Entry (re)build time, on miss/rebuild.
   double main_comp_ms = 0.0;   ///< Main compensation time.

@@ -306,9 +306,16 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
       counters.selection_batches +=
           SelectRowsGather(input, *candidates, &sel.rows);
     } else {
-      counters.rows_scanned += p.num_rows();
-      counters.selection_batches += SelectRowsRange(
-          p, input, 0, static_cast<uint32_t>(p.num_rows()), &sel.rows);
+      RowRange range;
+      if (restriction != nullptr && t < restriction->ranges.size()) {
+        range = restriction->ranges[t];
+      }
+      uint32_t end = static_cast<uint32_t>(
+          std::min<size_t>(range.end, p.num_rows()));
+      uint32_t begin = std::min(range.begin, end);
+      counters.rows_scanned += end - begin;
+      counters.selection_batches +=
+          SelectRowsRange(p, input, begin, end, &sel.rows);
     }
     counters.rows_selected += sel.rows.size();
   };

@@ -1,6 +1,7 @@
 #ifndef AGGCACHE_QUERY_EXECUTOR_H_
 #define AGGCACHE_QUERY_EXECUTOR_H_
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -120,6 +121,17 @@ struct ExecutorStats {
 
 struct SubjoinTask;
 
+/// Rows [begin, end) of one partition; `end` is clamped to the partition's
+/// row count, so the default range covers every row.
+struct RowRange {
+  static constexpr uint32_t kEnd = UINT32_MAX;
+  uint32_t begin = 0;
+  uint32_t end = kEnd;
+
+  bool whole() const { return begin == 0 && end == kEnd; }
+  bool operator==(const RowRange&) const = default;
+};
+
 /// Aggregate query executor over the main-delta columnar store: per-table
 /// selection (with dictionary-range static pruning of filters), left-deep
 /// hash joins in query-table order, and hash aggregation.
@@ -142,8 +154,14 @@ class Executor {
   /// compensation, whose correction joins restrict some tables to the rows
   /// invalidated since the entry snapshot ("negative delta" rows), exactly
   /// the rows a current snapshot would hide.
+  ///
+  /// Otherwise table t scans `ranges[t]` of its partition (every row when
+  /// `ranges` is empty), with visibility and filters applied: delta
+  /// compensation splits a delta into the rows its entry's memo covers and
+  /// the rows past them (DESIGN.md §6c).
   struct RowRestriction {
     std::vector<std::optional<std::vector<uint32_t>>> rows;
+    std::vector<RowRange> ranges;
   };
 
   /// Executes the query over one subjoin combination under `snapshot`.
@@ -183,8 +201,8 @@ class Executor {
 };
 
 /// One subjoin to run: the partition combination, the pushed-down filters
-/// that apply only to it, and the per-table restricted rows (empty = no
-/// table restricted).
+/// that apply only to it, and the per-table restricted rows or row ranges
+/// (empty = every table reads its whole partition).
 struct SubjoinTask {
   SubjoinCombination combination;
   std::vector<FilterPredicate> extra_filters;

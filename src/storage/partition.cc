@@ -1,5 +1,7 @@
 #include "storage/partition.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace aggcache {
@@ -35,6 +37,7 @@ Partition Partition::MakeMain(std::vector<Column> columns,
   partition.invalidate_tids_ = std::move(invalidate_tids);
   for (Tid t : partition.invalidate_tids_) {
     if (t != kNoTid) ++partition.invalidation_count_;
+    partition.max_invalidate_tid_ = std::max(partition.max_invalidate_tid_, t);
   }
   return partition;
 }
@@ -73,6 +76,7 @@ void Partition::InvalidateRow(size_t row, Tid tid) {
       << "row invalidated twice";
   invalidate_tids_[row] = tid;
   ++invalidation_count_;
+  max_invalidate_tid_ = std::max(max_invalidate_tid_, tid);
 }
 
 std::vector<Value> Partition::GetRow(size_t row) const {

@@ -64,6 +64,10 @@ class Partition {
   /// counter compares against this to detect pending main compensation).
   uint64_t invalidation_count() const { return invalidation_count_; }
 
+  /// Largest invalidate_tid of any row (kNoTid when none was invalidated):
+  /// when it is stable under a snapshot, so is every invalidation here.
+  Tid max_invalidate_tid() const { return max_invalidate_tid_; }
+
   /// Full row decoded to values.
   std::vector<Value> GetRow(size_t row) const;
 
@@ -81,6 +85,7 @@ class Partition {
   std::vector<Tid> create_tids_;
   std::vector<Tid> invalidate_tids_;
   uint64_t invalidation_count_ = 0;
+  Tid max_invalidate_tid_ = kNoTid;
 };
 
 }  // namespace aggcache

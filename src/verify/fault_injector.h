@@ -26,7 +26,6 @@ namespace aggcache {
 ///   storage.merge.publish   Delta merge, just before the rebuilt main is
 ///                           swapped in (after the expensive copy work).
 ///   maintenance.compensate  Merge-time main compensation of an entry.
-///   maintenance.rebuild     Merge-time rebuild of a stale-shaped entry.
 ///   maintenance.fold        Folding the merging delta into a cached partial.
 ///   cache.build             Entry materialization (RebuildEntry), covering
 ///                           both the single-flight creator and rebuilds.

@@ -463,8 +463,8 @@ class FuzzRun : public TraceEngineHost {
       return;
     }
     static const char* kPoints[] = {
-        "storage.merge",    "maintenance.compensate", "maintenance.rebuild",
-        "maintenance.fold", "cache.evict_all",
+        "storage.merge", "maintenance.compensate", "maintenance.fold",
+        "cache.evict_all",
     };
     std::string spec;
     for (const char* point : kPoints) {

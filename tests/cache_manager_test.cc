@@ -2,8 +2,10 @@
 
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
+#include "obs/engine_metrics.h"
 #include "tests/test_util.h"
 #include "verify/fault_injector.h"
+#include "verify/oracle.h"
 
 namespace aggcache {
 namespace {
@@ -80,19 +82,58 @@ TEST_F(CacheManagerTest, FullPruningSkipsSubjoins) {
   ASSERT_OK(testing_util::InsertBusinessObject(&db_, header_, item_, 20,
                                                2014, 2, 1.0,
                                                &next_item_id_));
+  // Each strategy's read starts from a cold delta memo, so it plans every
+  // compensation combination.
+  auto cold_memo = [&] {
+    cache_->Clear();
+    ASSERT_OK(cache_->Prewarm(query_));
+  };
   Transaction txn = db_.Begin();
   ExecutionOptions no_pruning;
   no_pruning.strategy = ExecutionStrategy::kCachedNoPruning;
+  cold_memo();
   ASSERT_TRUE(Execute(*cache_, query_, txn, no_pruning).ok());
   uint64_t subjoins_no_pruning = stats_.subjoins_executed;
 
   ExecutionOptions full;
   full.strategy = ExecutionStrategy::kCachedFullPruning;
+  cold_memo();
   ASSERT_TRUE(Execute(*cache_, query_, txn, full).ok());
   uint64_t subjoins_full = stats_.subjoins_executed;
   EXPECT_EQ(subjoins_no_pruning, 3u);  // 2^2 - 1.
   EXPECT_EQ(subjoins_full, 1u);        // Only delta x delta.
   EXPECT_EQ(stats_.subjoins_pruned, 2u);
+  // The memo-warm repeat of either strategy has nothing new to compensate.
+  ASSERT_TRUE(Execute(*cache_, query_, txn, no_pruning).ok());
+  EXPECT_EQ(stats_.subjoins_executed, 0u);
+  EXPECT_EQ(stats_.subjoins_pruned, 0u);
+}
+
+TEST_F(CacheManagerTest, OlderReaderLeavesNewerInvalidationsPending) {
+  // A reader whose snapshot predates one update but not another
+  // compensates the entry while both invalidations are already in main. The
+  // entry must still count the newer one as pending, or every later reader
+  // sees that header's old version in the cached main result and its new
+  // one in the delta.
+  Transaction warm = db_.Begin();
+  ASSERT_TRUE(Execute(*cache_, query_, warm).ok());
+  Transaction seen = db_.Begin();
+  ASSERT_OK(header_->UpdateColumnByPk(seen, Value(int64_t{3}), "FiscalYear",
+                                      Value(int64_t{2014})));
+  Transaction old_reader = db_.Begin();
+  Transaction unseen = db_.Begin();
+  ASSERT_OK(header_->UpdateColumnByPk(unseen, Value(int64_t{5}),
+                                      "FiscalYear", Value(int64_t{2014})));
+  ExecutionOptions uncached;
+  uncached.strategy = ExecutionStrategy::kUncached;
+  auto baseline = cache_->Execute(query_, old_reader, uncached);
+  auto cached = Execute(*cache_, query_, old_reader);
+  ASSERT_TRUE(baseline.ok() && cached.ok());
+  EXPECT_TRUE(stats_.cache_hit);
+  std::string diff;
+  EXPECT_TRUE(cached->ApproxEquals(*baseline, 1e-9, &diff)) << diff;
+  EXPECT_TRUE(cache_->Find(query_)->IsDirty());
+  ExpectAllStrategiesAgree(&db_, cache_.get(), query_);
 }
 
 TEST_F(CacheManagerTest, MainCompensationAfterDelete) {
@@ -520,7 +561,7 @@ TEST_F(CacheManagerTest, MergingAnUnreferencedTableLeavesEveryEntryUntouched) {
                                      {Value(int64_t{1}), Value(int64_t{7})}));
   // Any maintenance step run on an entry would fail and mark it.
   for (const char* point :
-       {"maintenance.compensate", "maintenance.rebuild", "maintenance.fold"}) {
+       {"maintenance.compensate", "maintenance.fold"}) {
     FaultInjector::Global().Arm(point, {/*probability=*/1.0});
   }
   Status merged = db_.Merge("Other");
@@ -713,6 +754,241 @@ TEST_F(CacheManagerTest, StrategyNames) {
   EXPECT_STREQ(
       ExecutionStrategyToString(ExecutionStrategy::kCachedFullPruning),
       "cached-full-pruning");
+}
+
+// --- Delta memo (DESIGN.md §6c) ---------------------------------------------
+
+/// Differential steps for the delta memo: after each, every cached strategy
+/// x pushdown x thread count agrees with uncached execution and with the
+/// oracle, and the traced read names the memo's verdict.
+class DeltaMemoTest : public CacheManagerTest {
+ protected:
+  void TearDown() override { ThreadPool::SetGlobalParallelism(1); }
+
+  Status InsertObject(int64_t header_id, int num_items = 2) {
+    return testing_util::InsertBusinessObject(&db_, header_, item_, header_id,
+                                              2013 + header_id % 2, num_items,
+                                              1.25 * header_id,
+                                              &next_item_id_);
+  }
+
+  /// Every cached strategy x pushdown at 1 and 4 threads, at `txn`, against
+  /// uncached execution and the oracle.
+  void ExpectAgrees(const Transaction& txn) {
+    ASSERT_OK_AND_ASSIGN(AggregateResult oracle,
+                         OracleExecute(db_, query_, txn.snapshot()));
+    ExecutionOptions uncached;
+    uncached.strategy = ExecutionStrategy::kUncached;
+    ASSERT_OK_AND_ASSIGN(AggregateResult baseline,
+                         cache_->Execute(query_, txn, uncached));
+    const std::vector<AggregateFunction> functions = {AggregateFunction::kSum,
+                                                      AggregateFunction::kCountStar};
+    for (size_t threads : {1, 4}) {
+      ThreadPool::SetGlobalParallelism(threads);
+      for (ExecutionStrategy strategy :
+           {ExecutionStrategy::kCachedNoPruning,
+            ExecutionStrategy::kCachedEmptyDeltaPruning,
+            ExecutionStrategy::kCachedFullPruning}) {
+        for (bool pushdown : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << ExecutionStrategyToString(strategy)
+                       << " pushdown=" << pushdown << " threads=" << threads);
+          ExecutionOptions options;
+          options.strategy = strategy;
+          options.use_predicate_pushdown = pushdown;
+          ASSERT_OK_AND_ASSIGN(AggregateResult result,
+                               cache_->Execute(query_, txn, options));
+          std::string diff;
+          EXPECT_TRUE(result.ApproxEquals(baseline, 1e-9, &diff)) << diff;
+          std::optional<std::string> oracle_diff =
+              DiffResults(oracle, result, functions);
+          EXPECT_FALSE(oracle_diff.has_value()) << *oracle_diff;
+        }
+      }
+    }
+    ThreadPool::SetGlobalParallelism(1);
+  }
+  void ExpectAgrees() { ExpectAgrees(db_.Begin()); }
+
+  /// One traced full-pruning read at `txn`.
+  QueryTrace TracedRead(const Transaction& txn) {
+    QueryTrace trace;
+    ExecutionOptions options;
+    options.trace = &trace;
+    options.stats = &stats_;
+    EXPECT_TRUE(cache_->Execute(query_, txn, options).ok());
+    return trace;
+  }
+  QueryTrace TracedRead() { return TracedRead(db_.Begin()); }
+
+  /// The Header delta prefix the read's memo served.
+  static uint64_t HeaderPrefix(const QueryTrace& trace) {
+    return trace.memo_prefixes.empty() ? 0 : trace.memo_prefixes[0].second;
+  }
+
+  static uint64_t Resets(MemoReset reason) {
+    return EngineMetrics::Get()
+        .memo_resets[static_cast<size_t>(reason)]
+        ->Value();
+  }
+};
+
+TEST_F(DeltaMemoTest, ReadsInterleavedWithInsertsAdvanceThePrefix) {
+  ASSERT_OK(InsertObject(11));
+  EXPECT_EQ(TracedRead().memo_verdict, "cold");
+  for (int64_t h = 12; h <= 16; ++h) {
+    ASSERT_OK(InsertObject(h, static_cast<int>(h % 3) + 1));
+    QueryTrace trace = TracedRead();
+    EXPECT_EQ(trace.memo_verdict, "used");
+    // The memo covered the objects before this one; only the new header
+    // is compensated, and Eq. 5 prunes it against every older partition.
+    EXPECT_EQ(HeaderPrefix(trace), static_cast<uint64_t>(h - 11));
+    EXPECT_EQ(stats_.subjoins_executed, 1u);
+    ExpectAgrees();
+  }
+  // Nothing new: the memo answers alone.
+  QueryTrace trace = TracedRead();
+  EXPECT_EQ(trace.memo_verdict, "used");
+  EXPECT_TRUE(trace.subjoins.empty());
+}
+
+TEST_F(DeltaMemoTest, PrefixUpdatesAndDeletesResetTheMemo) {
+  for (int64_t h = 11; h <= 13; ++h) ASSERT_OK(InsertObject(h));
+  ExpectAgrees();
+  const uint64_t resets = Resets(MemoReset::kInvalidation);
+
+  Transaction update = db_.Begin();
+  ASSERT_OK(header_->UpdateColumnByPk(update, Value(int64_t{12}),
+                                      "FiscalYear", Value(int64_t{2020})));
+  QueryTrace trace = TracedRead();
+  EXPECT_EQ(trace.memo_verdict, "reset");
+  EXPECT_EQ(trace.memo_reason, "invalidation");
+  EXPECT_EQ(Resets(MemoReset::kInvalidation), resets + 1);
+  ExpectAgrees();
+
+  // The first item of object 11 sits in the Item delta's prefix.
+  const int64_t item_of_11 = 21;
+  ASSERT_EQ(item_->FindByPk(Value(item_of_11))->kind, PartitionKind::kDelta);
+  Transaction remove = db_.Begin();
+  ASSERT_OK(item_->DeleteByPk(remove, Value(item_of_11)));
+  trace = TracedRead();
+  EXPECT_EQ(trace.memo_verdict, "reset");
+  EXPECT_EQ(trace.memo_reason, "invalidation");
+  ExpectAgrees();
+  EXPECT_EQ(TracedRead().memo_verdict, "used");
+}
+
+TEST_F(DeltaMemoTest, MainUpdateOutsideTheMemoKeepsIt) {
+  for (int64_t h = 11; h <= 12; ++h) ASSERT_OK(InsertObject(h));
+  ExpectAgrees();
+  // The memo's only non-empty combination is Header delta x Item delta, so
+  // it records no main: updating a Header main row leaves it valid, and
+  // only the new header version past the prefix is compensated.
+  Transaction update = db_.Begin();
+  ASSERT_OK(header_->UpdateColumnByPk(update, Value(int64_t{3}), "FiscalYear",
+                                      Value(int64_t{2014})));
+  QueryTrace trace = TracedRead();
+  EXPECT_EQ(trace.memo_verdict, "used");
+  EXPECT_EQ(HeaderPrefix(trace), 2u);
+  ExpectAgrees();
+
+  // Now the memo also reads Item main (the updated header's items): a
+  // second Header main update still keeps it, an Item main update resets.
+  Transaction update2 = db_.Begin();
+  ASSERT_OK(header_->UpdateColumnByPk(update2, Value(int64_t{4}),
+                                      "FiscalYear", Value(int64_t{2013})));
+  EXPECT_EQ(TracedRead().memo_verdict, "used");
+  ExpectAgrees();
+  Transaction remove = db_.Begin();
+  ASSERT_OK(item_->DeleteByPk(remove, Value(int64_t{5})));
+  trace = TracedRead();
+  EXPECT_EQ(trace.memo_verdict, "reset");
+  EXPECT_EQ(trace.memo_reason, "invalidation");
+  ExpectAgrees();
+}
+
+TEST_F(DeltaMemoTest, MergeSplitAndRebuildMarkDropTheMemo) {
+  ASSERT_OK(InsertObject(11));
+  ExpectAgrees();
+  ASSERT_OK(db_.MergeTables({"Header", "Item"}));
+  QueryTrace trace = TracedRead();
+  EXPECT_EQ(trace.memo_verdict, "reset");
+  EXPECT_EQ(trace.memo_reason, "merge");
+  ExpectAgrees();
+
+  ASSERT_OK(header_->SplitHotCold("HeaderID", Value(int64_t{6})));
+  ASSERT_OK(item_->SplitHotCold("HeaderID", Value(int64_t{6})));
+  db_.RegisterAgingGroup({"Header", "Item"});
+  ASSERT_OK(InsertObject(12));
+  trace = TracedRead();
+  EXPECT_TRUE(stats_.entry_rebuilt);
+  EXPECT_EQ(trace.memo_verdict, "reset");
+  EXPECT_EQ(trace.memo_reason, "rebuild");
+  ExpectAgrees();
+  trace = TracedRead();
+  EXPECT_EQ(trace.memo_verdict, "used");
+  EXPECT_EQ(trace.memo_prefixes.size(), 4u);  // Two groups per table.
+
+  // MarkForRebuild is what a failed maintenance step does to an entry.
+  const_cast<CacheEntry*>(cache_->Find(query_))->MarkForRebuild();
+  ASSERT_OK(InsertObject(13));
+  trace = TracedRead();
+  EXPECT_TRUE(stats_.entry_rebuilt);
+  EXPECT_EQ(trace.memo_reason, "rebuild");
+  ExpectAgrees();
+}
+
+TEST_F(DeltaMemoTest, OlderReaderBypassesTheMemo) {
+  ASSERT_OK(InsertObject(11));
+  ExpectAgrees();
+  Transaction old_reader = db_.Begin();
+  ASSERT_OK(InsertObject(12));
+  EXPECT_EQ(TracedRead().memo_verdict, "used");  // Memo now holds 12.
+
+  const uint64_t bypasses = Resets(MemoReset::kOlderSnapshot);
+  QueryTrace trace = TracedRead(old_reader);
+  EXPECT_EQ(trace.memo_verdict, "reset");
+  EXPECT_EQ(trace.memo_reason, "older-snapshot");
+  EXPECT_EQ(Resets(MemoReset::kOlderSnapshot), bypasses + 1);
+  ExpectAgrees(old_reader);
+  // The bypass published nothing: a current reader still uses the memo.
+  EXPECT_EQ(TracedRead().memo_verdict, "used");
+  ExpectAgrees();
+}
+
+TEST_F(DeltaMemoTest, InFlightScopeRowsStayOutOfThePrefix) {
+  ASSERT_OK(InsertObject(11));
+  ExpectAgrees();
+  {
+    ScopedTransaction scope = db_.BeginAtomic();
+    ASSERT_OK(header_->Insert(scope, {Value(int64_t{12}), Value(int64_t{2013})}));
+    ASSERT_OK(item_->Insert(
+        scope, {Value(next_item_id_++), Value(int64_t{12}), Value(9.0)}));
+    // Readers exclude the scope: its rows are the unstable tail.
+    QueryTrace trace = TracedRead();
+    EXPECT_EQ(trace.memo_verdict, "used");
+    ExpectAgrees();
+    trace = TracedRead();
+    EXPECT_EQ(HeaderPrefix(trace), 1u);
+    // A scope whose second statement fails leaves what it wrote before.
+    EXPECT_FALSE(item_->Insert(scope, {Value(next_item_id_), Value(int64_t{99}),
+                                       Value(1.0)})
+                     .ok());
+  }
+  // Ended: the scope's rows are stable for new snapshots and join the
+  // prefix on the next read.
+  ExpectAgrees();
+  EXPECT_EQ(HeaderPrefix(TracedRead()), 2u);
+}
+
+TEST_F(DeltaMemoTest, CleanHitOverEmptyDeltasConsidersNoCombination) {
+  Transaction txn = db_.Begin();
+  ASSERT_TRUE(Execute(*cache_, query_, txn).ok());  // Cold: plans all three.
+  cache_->ResetPruneStats();
+  ASSERT_TRUE(Execute(*cache_, query_, txn).ok());
+  EXPECT_TRUE(stats_.cache_hit);
+  EXPECT_EQ(cache_->prune_stats().considered, 0u);
+  EXPECT_EQ(stats_.subjoins_executed, 0u);
 }
 
 }  // namespace

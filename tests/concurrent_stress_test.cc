@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -118,6 +119,44 @@ TEST_F(ConcurrentStressTest, ReadersAgreeWithUncachedDuringMerges) {
   stop.store(true);
   for (std::thread& thread : readers) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST_F(ConcurrentStressTest, MemoReadersAgreeWhileWriterInsertsAndMerges) {
+  // Readers hit one entry while the writer grows the deltas (each hit after
+  // an insert advances the delta memo) and merges every few objects (which
+  // drops the memo). Each reader's own snapshot is taken before its
+  // uncached read, so a racing reader often publishes a newer memo first
+  // and the cached read must bypass it. (Updates stay out: a plain
+  // transaction's write lands after readers whose snapshots already cover
+  // its tid, so two reads under one snapshot may differ with no cache
+  // involved; DeltaMemoTest covers updates sequentially.)
+  AggregateCacheManager cache(&db_);
+  std::atomic<int> mismatches{0};
+  std::atomic<bool> stop{false};
+  constexpr int kReaders = 3;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      const ExecutionStrategy strategies[] = {
+          ExecutionStrategy::kCachedFullPruning,
+          ExecutionStrategy::kCachedNoPruning,
+          ExecutionStrategy::kCachedEmptyDeltaPruning};
+      while (!stop.load(std::memory_order_relaxed)) {
+        CheckOnce(&cache, query_, strategies[t], &mismatches);
+      }
+    });
+  }
+  for (int round = 0; round < 24; ++round) {
+    ASSERT_OK(testing_util::InsertBusinessObject(
+        &db_, header_, item_, 200 + round, 2010 + round % 5, 1 + round % 3,
+        0.5 + round, &next_item_id_));
+    if (round % 8 == 7) ASSERT_OK(db_.MergeTables({"Header", "Item"}));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true);
+  for (std::thread& thread : readers) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  testing_util::ExpectAllStrategiesAgree(&db_, &cache, query_);
 }
 
 TEST_F(ConcurrentStressTest, ReadersParseAndShareHitsWhileWriterMerges) {
@@ -236,15 +275,24 @@ TEST_F(ConcurrentStressTest, PerCallStatsStayExactUnderConcurrency) {
   uncached.strategy = ExecutionStrategy::kUncached;
   ExecutionOptions cached;
   cached.strategy = ExecutionStrategy::kCachedFullPruning;
+  // The cached calls read at a snapshot older than the entry's delta memo,
+  // so each bypasses it and compensates every delta row: the same work on
+  // every call, whichever thread publishes first.
+  std::optional<Transaction> old_reader;
   auto run = [&](const AggregateQuery& query, ExecutionOptions options,
                  CacheExecStats* stats) {
     options.stats = stats;
     Transaction txn = db_.Begin();
-    return cache.Execute(query, txn, options).ok();
+    return cache.Execute(query, old_reader ? *old_reader : txn, options).ok();
   };
   CacheExecStats warm;
   ASSERT_TRUE(run(query_, cached, &warm));
   ASSERT_TRUE(warm.entry_created);
+  Transaction reader = db_.Begin();
+  ASSERT_OK(testing_util::InsertBusinessObject(
+      &db_, header_, item_, 25, 2012, 2, 4.0, &next_item_id_));
+  ASSERT_TRUE(run(query_, cached, &warm));  // Memo now newer than `reader`.
+  old_reader.emplace(reader);
   CacheExecStats expect_uncached;
   CacheExecStats expect_cached;
   ASSERT_TRUE(run(by_header, uncached, &expect_uncached));

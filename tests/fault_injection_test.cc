@@ -45,12 +45,11 @@ class FaultInjectionTest : public ::testing::Test {
   }
 
   // Fails the maintenance of every merge: MergeAll merges Header, whose
-  // compensation fails and marks the entry, then Item, whose rebuild of the
-  // marked entry fails too, so the entry stays marked for the next access.
+  // compensation fails and marks the entry; the Item merge leaves the
+  // marked entry to the next access.
   void FailEveryMergeMaintenance() {
     FaultInjector::Global().Arm("maintenance.compensate",
                                 {/*probability=*/1.0});
-    FaultInjector::Global().Arm("maintenance.rebuild", {/*probability=*/1.0});
   }
 
   // Asserts that a fresh cached execution agrees with uncached execution,
@@ -99,6 +98,36 @@ TEST_F(FaultInjectionTest, FailedCompensationDuringMergeMarksForRebuild) {
   ASSERT_OK(InsertBusinessObject(&db_, header_, item_, 5, 2015, 2, 99.0,
                                  &next_item_id_));
   ExpectRebuildWithCorrectResult(&cache);
+}
+
+TEST_F(FaultInjectionTest, MarkedEntryWaitsForItsNextReadToRebuild) {
+  // The Header merge's compensation fails and marks the entry. The Item
+  // merge must leave the marked entry alone (no rebuild under the merge's
+  // table locks); the next read rebuilds it exactly once.
+  AggregateCacheManager cache(&db_);
+  const CacheEntry* entry = WarmEntry(&cache);
+  ASSERT_OK(InsertBusinessObject(&db_, header_, item_, 5, 2015, 2, 99.0,
+                                 &next_item_id_));
+  FaultInjector::PointConfig count_only;
+  count_only.probability = 0.0;
+  FaultInjector::Global().Arm("cache.build", count_only);
+  FaultInjector::Global().Arm("maintenance.compensate",
+                              {/*probability=*/1.0});
+  ASSERT_OK(db_.MergeAll());
+  FaultInjector::Global().Disarm("maintenance.compensate");
+  EXPECT_TRUE(entry->needs_rebuild());
+  EXPECT_EQ(entry->metrics().maintenance_failures, 1u);
+  EXPECT_EQ(FaultInjector::Global().stats("cache.build").hits, 0u);
+
+  ExpectRebuildWithCorrectResult(&cache);
+  EXPECT_EQ(FaultInjector::Global().stats("cache.build").hits, 1u);
+  Transaction txn = db_.Begin();
+  CacheExecStats stats;
+  ExecutionOptions options;
+  options.stats = &stats;
+  ASSERT_TRUE(cache.Execute(HeaderItemQuery(), txn, options).ok());
+  EXPECT_TRUE(stats.cache_hit);
+  EXPECT_EQ(FaultInjector::Global().stats("cache.build").hits, 1u);
 }
 
 TEST_F(FaultInjectionTest, RebuildByAnOlderReaderKeepsMergedRows) {

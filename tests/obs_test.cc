@@ -245,6 +245,11 @@ TEST(EngineMetricsTest, SchemaGolden) {
       "# TYPE aggcache_cache_hits_total counter",
       "# TYPE aggcache_cache_lookups_total counter",
       "# TYPE aggcache_cache_main_comp_us histogram",
+      "# TYPE aggcache_cache_memo_resets_invalidation_total counter",
+      "# TYPE aggcache_cache_memo_resets_merge_total counter",
+      "# TYPE aggcache_cache_memo_resets_older_snapshot_total counter",
+      "# TYPE aggcache_cache_memo_resets_rebuild_total counter",
+      "# TYPE aggcache_cache_memo_resets_unstable_rows_total counter",
       "# TYPE aggcache_cache_misses_total counter",
       "# TYPE aggcache_cache_rebuilds_total counter",
       "# TYPE aggcache_cache_singleflight_waits_total counter",

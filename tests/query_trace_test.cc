@@ -341,6 +341,9 @@ TEST_F(ExplainTraceTest, WarmHitTracesCompensationOnly) {
   options.strategy = ExecutionStrategy::kCachedFullPruning;
   QueryTrace cold;
   ASSERT_TRUE(RunTraced(options, &cold).ok());
+  // A rebuilt entry's first hit starts from a cold delta memo.
+  cache_.Clear();
+  ASSERT_OK(cache_.Prewarm(ThreeTableQuery()));
 
   CounterSnapshot before = CounterSnapshot::Take();
   QueryTrace trace;
@@ -349,6 +352,7 @@ TEST_F(ExplainTraceTest, WarmHitTracesCompensationOnly) {
   CounterSnapshot after = CounterSnapshot::Take();
 
   EXPECT_EQ(trace.cache_outcome, "hit");
+  EXPECT_EQ(trace.memo_verdict, "cold");
   EXPECT_EQ(after.hits - before.hits, 1u);
   EXPECT_EQ(after.misses - before.misses, 0u);
   EXPECT_EQ(after.rebuilds - before.rebuilds, 0u);
@@ -372,6 +376,22 @@ TEST_F(ExplainTraceTest, WarmHitTracesCompensationOnly) {
   }
   EXPECT_NE(text.find("tid=["), std::string::npos);
   EXPECT_NE(text.find("cache: hit"), std::string::npos);
+  EXPECT_NE(text.find("delta memo: cold"), std::string::npos);
+
+  // The repeat over unchanged deltas is answered by the memo: no subjoin
+  // is planned, and the verdict names each delta's prefix.
+  QueryTrace repeat;
+  ASSERT_TRUE(RunTraced(options, &repeat).ok());
+  EXPECT_EQ(repeat.memo_verdict, "used");
+  EXPECT_TRUE(repeat.subjoins.empty());
+  ASSERT_EQ(repeat.memo_prefixes.size(), 3u);
+  EXPECT_EQ(repeat.memo_prefixes[0].first, "Header[g0]");
+  EXPECT_EQ(repeat.memo_prefixes[0].second,
+            header_->group(0).delta.num_rows());
+  EXPECT_NE(repeat.ToText().find("delta memo: used, prefix Header[g0] "),
+            std::string::npos);
+  EXPECT_NE(repeat.ToJson().find("\"delta_memo\":{\"verdict\":\"used\""),
+            std::string::npos);
 }
 
 TEST_F(ExplainTraceTest, PushdownVerdictsCarryFilters) {

@@ -454,11 +454,15 @@ TEST_F(SpanTreeTest, QueryTreeReconcilesWithQueryTrace) {
   AggregateCacheManager cache(&db_);
   ScopedGlobalSpans enable;
 
-  // Warm the entry (records a build-flavored tree), then trace a hit.
+  // Warm the entry (records a build-flavored tree), then trace a hit. The
+  // entry is rebuilt first, so the hit starts from a cold delta memo and
+  // compensates the deltas through subjoin tasks.
   {
     Transaction txn = db_.Begin();
     auto warm = cache.Execute(HeaderItemQuery(), txn, ExecutionOptions());
     ASSERT_TRUE(warm.ok()) << warm.status();
+    cache.Clear();
+    ASSERT_OK(cache.Prewarm(HeaderItemQuery()));
   }
   uint64_t queries_before = SpanRecorder::Global().recorded_spans();
   QueryTrace trace;
