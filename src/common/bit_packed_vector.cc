@@ -31,6 +31,26 @@ void BitPackedVector::PushBack(uint32_t value) {
   ++size_;
 }
 
+void BitPackedVector::Append(const uint32_t* values, size_t count) {
+  const int width = bits_per_entry_;
+  size_t bit_pos = size_ * width;
+  words_.resize((bit_pos + count * width + 63) >> 6, 0);
+  uint64_t* words = words_.data();
+  uint32_t all_bits = 0;
+  for (size_t k = 0; k < count; ++k, bit_pos += width) {
+    const uint64_t value = values[k];
+    all_bits |= values[k];
+    const size_t word = bit_pos >> 6;
+    const int offset = static_cast<int>(bit_pos & 63);
+    words[word] |= value << offset;
+    const int spill = offset + width - 64;
+    if (spill > 0) words[word + 1] |= value >> (width - spill);
+  }
+  AGGCACHE_CHECK_EQ(all_bits & value_mask_, all_bits)
+      << "a value does not fit in " << bits_per_entry_ << " bits";
+  size_ += count;
+}
+
 uint32_t BitPackedVector::Get(size_t i) const {
   AGGCACHE_CHECK_LT(i, size_);
   size_t bit_pos = i * bits_per_entry_;

@@ -29,6 +29,12 @@ class BitPackedVector {
   /// Appends `value`; the value must fit in bits_per_entry bits.
   void PushBack(uint32_t value);
 
+  /// Appends `count` values at once; each must fit in bits_per_entry bits.
+  void Append(const uint32_t* values, size_t count);
+
+  /// Reserves room for `n` entries in total.
+  void Reserve(size_t n) { words_.reserve((n * bits_per_entry_ + 63) >> 6); }
+
   uint32_t Get(size_t i) const;
 
   /// Bulk-decodes entries [begin, begin+count) into `out`. Equivalent to

@@ -69,7 +69,12 @@ bool Value::operator<(const Value& other) const {
   int rr = TypeRank(other);
   if (lr != rr) return lr < rr;
   if (lr == 0) return false;  // NULL == NULL for ordering purposes.
-  if (lr == 1) return NumericAsDouble() < other.NumericAsDouble();
+  if (lr == 1) {
+    // Two int64s compare exactly: through double, distinct values above
+    // 2^53 would compare equal.
+    if (is_int64() && other.is_int64()) return AsInt64() < other.AsInt64();
+    return NumericAsDouble() < other.NumericAsDouble();
+  }
   return AsString() < other.AsString();
 }
 

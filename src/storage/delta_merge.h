@@ -1,11 +1,11 @@
 #ifndef AGGCACHE_STORAGE_DELTA_MERGE_H_
 #define AGGCACHE_STORAGE_DELTA_MERGE_H_
 
-#include <vector>
+#include <cstdint>
+#include <span>
 
 #include "common/status.h"
 #include "storage/partition.h"
-#include "storage/schema.h"
 #include "txn/types.h"
 
 namespace aggcache {
@@ -21,33 +21,29 @@ struct MergeOptions {
   bool keep_invalidated = false;
 };
 
-/// Accumulates rows and builds a read-optimized main partition: per-column
-/// sorted dictionaries and bit-packed codes.
-class MainPartitionBuilder {
- public:
-  explicit MainPartitionBuilder(const TableSchema& schema);
-
-  /// Adds one row (decoded values, full schema arity) with its MVCC
-  /// timestamps.
-  void AddRow(std::vector<Value> values, Tid create_tid, Tid invalidate_tid);
-
-  size_t num_rows() const { return create_tids_.size(); }
-
-  /// Builds the partition; the builder is consumed.
-  Partition Build();
-
- private:
-  const TableSchema& schema_;
-  std::vector<std::vector<Value>> column_values_;  // [column][row]
-  std::vector<Tid> create_tids_;
-  std::vector<Tid> invalidate_tids_;
-};
+/// Builds a read-optimized main partition in code space (Krueger et al.'s
+/// two-step merge): the rows `main_rows` of `main` followed by the rows
+/// `delta_rows` of `delta`, both ascending, each with its MVCC stamps.
+///
+/// Per column, the used values of main's sorted dictionary and the used
+/// distinct values of the delta (sorted here, and only those) are merged
+/// linearly into the new sorted dictionary, yielding monotone old→new and
+/// delta→new code maps; codes are then re-encoded through the maps in
+/// 1024-row blocks. Values no selected row uses are dropped. A column that
+/// gains and loses no value keeps main's dictionary, shared.
+///
+/// Every value of a main dictionary is used by some row of that main; the
+/// partitions this function builds keep that invariant.
+Partition BuildMainPartition(const Partition& main,
+                             std::span<const uint32_t> main_rows,
+                             const Partition& delta,
+                             std::span<const uint32_t> delta_rows);
 
 /// Merges the delta of one partition group into its main: surviving rows
 /// (plus invalidated ones when keep_invalidated) are rebuilt into a fresh
-/// main with sorted dictionaries, and the delta is emptied. The table's
-/// primary-key index is rebuilt. Use Database::Merge to also notify merge
-/// observers (aggregate cache maintenance).
+/// main by BuildMainPartition, and the delta is emptied. The table's
+/// primary-key index is updated in place. Use Database::Merge to also
+/// notify merge observers (aggregate cache maintenance).
 ///
 /// Only rows whose MVCC stamps are stable at `snapshot` move (or, when
 /// invalidated, are dropped); a delta row created by an atomic write scope

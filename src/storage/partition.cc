@@ -42,6 +42,15 @@ Partition Partition::MakeMain(std::vector<Column> columns,
   return partition;
 }
 
+Partition Partition::MakeEmptyMain(const TableSchema& schema) {
+  std::vector<Column> columns;
+  for (const ColumnDef& def : schema.columns) {
+    columns.push_back(
+        Column::MakeMain(Dictionary::BuildSorted(def.type, {}), {}));
+  }
+  return MakeMain(std::move(columns), {}, {});
+}
+
 Status Partition::AppendRow(const std::vector<Value>& values,
                             Tid create_tid) {
   if (kind_ != PartitionKind::kDelta) {
@@ -53,12 +62,10 @@ Status Partition::AppendRow(const std::vector<Value>& values,
   // Validate all values before mutating any column so a failed append leaves
   // the partition unchanged.
   for (size_t i = 0; i < values.size(); ++i) {
-    if (values[i].is_null()) {
-      return Status::InvalidArgument("NULL values are not supported");
-    }
-    if (!values[i].MatchesType(columns_[i].type())) {
-      return Status::InvalidArgument("value type mismatch in column " +
-                                     std::to_string(i));
+    Status storable = Dictionary::CheckStorable(values[i], columns_[i].type());
+    if (!storable.ok()) {
+      return Status::InvalidArgument(storable.message() + " (column " +
+                                     std::to_string(i) + ")");
     }
   }
   for (size_t i = 0; i < values.size(); ++i) {
@@ -68,6 +75,18 @@ Status Partition::AppendRow(const std::vector<Value>& values,
   create_tids_.push_back(create_tid);
   invalidate_tids_.push_back(kNoTid);
   return Status::Ok();
+}
+
+void Partition::AppendRowFrom(const Partition& src, size_t row) {
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    Status status = columns_[c].Append(src.column(c).GetValue(row));
+    AGGCACHE_CHECK(status.ok()) << status.ToString();
+  }
+  create_tids_.push_back(src.create_tid(row));
+  invalidate_tids_.push_back(kNoTid);
+  if (src.RowInvalidated(row)) {
+    InvalidateRow(num_rows() - 1, src.invalidate_tid(row));
+  }
 }
 
 void Partition::InvalidateRow(size_t row, Tid tid) {

@@ -38,6 +38,9 @@ class Partition {
                             std::vector<Tid> create_tids,
                             std::vector<Tid> invalidate_tids);
 
+  /// Creates an empty main partition for `schema`.
+  static Partition MakeEmptyMain(const TableSchema& schema);
+
   PartitionKind kind() const { return kind_; }
   size_t num_rows() const { return create_tids_.size(); }
   bool empty() const { return create_tids_.empty(); }
@@ -47,6 +50,10 @@ class Partition {
 
   /// Appends a full row to a delta partition.
   Status AppendRow(const std::vector<Value>& values, Tid create_tid);
+
+  /// Appends row `row` of `src` (same schema) with both of its MVCC stamps
+  /// to a delta partition.
+  void AppendRowFrom(const Partition& src, size_t row);
 
   /// Marks row `row` invalid as of transaction `tid` (update/delete).
   void InvalidateRow(size_t row, Tid tid);

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -140,12 +141,9 @@ StatusOr<Partition> ReadPartition(SnapshotReader& reader,
                        std::string(expected_kind) + " <rows>'");
   }
 
-  bool is_main = kind == "main";
-  MainPartitionBuilder builder(schema);
+  // Rows load into a delta; a main is then built from all of them in code
+  // space, as a merge into an empty main would, keeping row order and stamps.
   Partition delta = Partition::MakeDelta(schema);
-  std::vector<size_t> delta_invalidations;  // (row, tid) pairs applied after.
-  std::vector<Tid> delta_invalidate_tids;
-
   for (size_t r = 0; r < rows; ++r) {
     ASSIGN_OR_RETURN(std::string line, reader.NextLine());
     std::istringstream rs(line);
@@ -166,22 +164,15 @@ StatusOr<Partition> ReadPartition(SnapshotReader& reader,
     if (!(rs >> std::ws).eof()) {
       return reader.Fail("more values than columns in a 'row' line");
     }
-    if (is_main) {
-      builder.AddRow(std::move(values), create_tid, invalidate_tid);
-    } else {
-      Status status = delta.AppendRow(values, create_tid);
-      if (!status.ok()) return reader.Fail(status.message());
-      if (invalidate_tid != kNoTid) {
-        delta_invalidations.push_back(r);
-        delta_invalidate_tids.push_back(invalidate_tid);
-      }
-    }
+    Status status = delta.AppendRow(values, create_tid);
+    if (!status.ok()) return reader.Fail(status.message());
+    if (invalidate_tid != kNoTid) delta.InvalidateRow(r, invalidate_tid);
   }
-  if (is_main) return builder.Build();
-  for (size_t i = 0; i < delta_invalidations.size(); ++i) {
-    delta.InvalidateRow(delta_invalidations[i], delta_invalidate_tids[i]);
-  }
-  return delta;
+  if (kind == "delta") return delta;
+  std::vector<uint32_t> all_rows(rows);
+  std::iota(all_rows.begin(), all_rows.end(), 0);
+  return BuildMainPartition(Partition::MakeEmptyMain(schema), {}, delta,
+                            all_rows);
 }
 
 StatusOr<TableSchema> ReadSchema(SnapshotReader& reader,

@@ -1,5 +1,6 @@
 #include "storage/table.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -33,19 +34,11 @@ TableLockSet AcquireWriteLocks(const Table* self,
 }  // namespace
 
 Table::Table(TableSchema schema) : schema_(std::move(schema)) {
-  groups_.push_back(PartitionGroup{
-      AgeClass::kHot,
-      Partition::MakeMain(/*columns=*/{}, /*create_tids=*/{},
-                          /*invalidate_tids=*/{}),
-      Partition::MakeDelta(schema_)});
-  // A freshly created table has an empty main partition; represent it with
-  // empty main columns so the executor can treat every group uniformly.
-  std::vector<Column> empty_columns;
-  for (const ColumnDef& def : schema_.columns) {
-    empty_columns.push_back(Column::MakeMain(
-        Dictionary::BuildSorted(def.type, {}), /*codes=*/{}));
-  }
-  groups_[0].main = Partition::MakeMain(std::move(empty_columns), {}, {});
+  // A freshly created table has an empty main partition, with empty main
+  // columns so the executor can treat every group uniformly.
+  groups_.push_back(PartitionGroup{AgeClass::kHot,
+                                   Partition::MakeEmptyMain(schema_),
+                                   Partition::MakeDelta(schema_)});
 }
 
 Status Table::ResolveForeignKeys(Database* db) {
@@ -214,12 +207,19 @@ Status Table::UpdateByPkUnlocked(const Transaction& txn, const Value& pk,
   if (schema_.own_tid_column) {
     preserved_tid = ValueAt(old_loc, *schema_.own_tid_column).AsInt64();
   }
-  PartitionGroup& g = groups_[old_loc.group];
-  Partition& old_partition =
-      old_loc.kind == PartitionKind::kMain ? g.main : g.delta;
-  old_partition.InvalidateRow(old_loc.row, txn.tid());
+  // The new version goes in first: a version the delta rejects (a NaN, a
+  // foreign-key miss) fails the statement with the old version still live.
   pk_index_.erase(it);
-  return InsertInternal(txn, new_user_values, options, preserved_tid);
+  Status inserted = InsertInternal(txn, new_user_values, options,
+                                   preserved_tid);
+  if (!inserted.ok()) {
+    pk_index_.emplace(pk, old_loc);
+    return inserted;
+  }
+  PartitionGroup& g = groups_[old_loc.group];
+  (old_loc.kind == PartitionKind::kMain ? g.main : g.delta)
+      .InvalidateRow(old_loc.row, txn.tid());
+  return Status::Ok();
 }
 
 Status Table::DeleteByPk(const Transaction& txn, const Value& pk) {
@@ -368,22 +368,27 @@ Status Table::SplitHotCold(const std::string& column,
   }
   ASSIGN_OR_RETURN(size_t col, schema_.ColumnIndex(column));
 
+  // Main dictionaries are sorted: the rows below `cold_below` are exactly
+  // those with a code below the first value not below it.
   const Partition& old_main = groups_[0].main;
-  MainPartitionBuilder hot_builder(schema_);
-  MainPartitionBuilder cold_builder(schema_);
-  for (size_t r = 0; r < old_main.num_rows(); ++r) {
-    const Value& v = old_main.column(col).GetValue(r);
-    MainPartitionBuilder& builder =
-        v < cold_below ? cold_builder : hot_builder;
-    builder.AddRow(old_main.GetRow(r), old_main.create_tid(r),
-                   old_main.invalidate_tid(r));
+  const std::vector<Value>& values = old_main.column(col).dictionary().values();
+  const ValueId first_hot = static_cast<ValueId>(
+      std::lower_bound(values.begin(), values.end(), cold_below) -
+      values.begin());
+  std::vector<uint32_t> hot_rows;
+  std::vector<uint32_t> cold_rows;
+  for (uint32_t r = 0; r < old_main.num_rows(); ++r) {
+    (old_main.column(col).code(r) < first_hot ? cold_rows : hot_rows)
+        .push_back(r);
   }
-
+  const Partition& no_delta = groups_[0].delta;
   std::vector<PartitionGroup> new_groups;
-  new_groups.push_back(PartitionGroup{AgeClass::kHot, hot_builder.Build(),
-                                      Partition::MakeDelta(schema_)});
-  new_groups.push_back(PartitionGroup{AgeClass::kCold, cold_builder.Build(),
-                                      Partition::MakeDelta(schema_)});
+  new_groups.push_back(PartitionGroup{
+      AgeClass::kHot, BuildMainPartition(old_main, hot_rows, no_delta, {}),
+      Partition::MakeDelta(schema_)});
+  new_groups.push_back(PartitionGroup{
+      AgeClass::kCold, BuildMainPartition(old_main, cold_rows, no_delta, {}),
+      Partition::MakeDelta(schema_)});
   std::vector<PartitionGroup> displaced = std::move(groups_);
   groups_ = std::move(new_groups);
   RebuildPkIndex();
@@ -416,6 +421,38 @@ void Table::RestoreGroups(std::vector<PartitionGroup> groups) {
     ep->Retire(std::move(displaced));
     ep->Advance();
   }
+}
+
+void Table::RelocateMergedRows(uint32_t g,
+                               std::span<const uint32_t> kept_main_rows,
+                               size_t old_main_rows) {
+  if (!schema_.primary_key) return;
+  const size_t pk_col = *schema_.primary_key;
+  if (kept_main_rows.size() != old_main_rows) {
+    // Dropped rows were invalidated, so no entry points at them.
+    std::vector<uint32_t> renumbered(old_main_rows, 0);
+    for (uint32_t i = 0; i < kept_main_rows.size(); ++i) {
+      renumbered[kept_main_rows[i]] = i;
+    }
+    for (auto& [pk, loc] : pk_index_) {
+      if (loc.group == g && loc.kind == PartitionKind::kMain) {
+        loc.row = renumbered[loc.row];
+      }
+    }
+  }
+  // Former delta rows: merged ones end the new main, in-flight ones fill the
+  // fresh delta.
+  auto relocate = [&](const Partition& p, PartitionKind kind, uint32_t first) {
+    for (uint32_t r = first; r < p.num_rows(); ++r) {
+      if (p.RowInvalidated(r)) continue;
+      auto it = pk_index_.find(p.column(pk_col).GetValue(r));
+      AGGCACHE_CHECK(it != pk_index_.end()) << "row missing from pk index";
+      it->second = RowLocation{g, kind, r};
+    }
+  };
+  relocate(groups_[g].main, PartitionKind::kMain,
+           static_cast<uint32_t>(kept_main_rows.size()));
+  relocate(groups_[g].delta, PartitionKind::kDelta, 0);
 }
 
 void Table::RebuildPkIndex() {

@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -191,8 +192,16 @@ class Table {
                             const InsertOptions& options);
   Status DeleteByPkUnlocked(const Transaction& txn, const Value& pk);
 
-  /// Rebuilds the primary-key index from scratch (after merges/splits).
+  /// Rebuilds the primary-key index from scratch (after splits/restores).
   void RebuildPkIndex();
+
+  /// Updates the primary-key index in place after group `g`'s merge kept
+  /// `kept_main_rows` (ascending) of its `old_main_rows` main rows, appended
+  /// the merged delta rows to the new main and left in-flight rows in the
+  /// fresh delta. Main entries are renumbered, with no hashing, only when
+  /// main rows were dropped.
+  void RelocateMergedRows(uint32_t g, std::span<const uint32_t> kept_main_rows,
+                          size_t old_main_rows);
 
   /// The epoch manager of the owning database, if any; displaced partition
   /// groups (merge, split, restore) are retired through it instead of being

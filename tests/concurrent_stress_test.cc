@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <optional>
+#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "obs/flight_recorder.h"
 #include "storage/merge_daemon.h"
 #include "tests/test_util.h"
+#include "txn/epoch.h"
 #include "verify/fault_injector.h"
 
 namespace aggcache {
@@ -565,6 +568,67 @@ TEST_F(ConcurrentStressTest, FlightRecorderSurvivesConcurrentWritersAndDumps) {
     EXPECT_LE(static_cast<uint8_t>(event.type),
               static_cast<uint8_t>(FlightEventType::kMaintenanceFailure));
   }
+}
+
+// A merge that adds no value to a column hands the new main the old main's
+// dictionary. A reader that captured that dictionary under an epoch guard
+// keeps reading it, without any table lock, while later merges retire every
+// main holding it; the retired mains (and so the dictionary) live until the
+// guard is released.
+TEST(SharedDictionaryTest, OutlivesRetiredMainsWhileAGuardedReaderHoldsIt) {
+  Database db;
+  Table* header = nullptr;
+  Table* item = nullptr;
+  testing_util::CreateHeaderItemTables(&db, &header, &item);
+  auto insert_headers = [&](int64_t first, int64_t count, int64_t year) {
+    for (int64_t h = first; h < first + count; ++h) {
+      ASSERT_OK(header->Insert(db.Begin(), {Value(h), Value(year)}));
+    }
+  };
+  insert_headers(1, 200, 2013);
+  insert_headers(201, 200, 2014);
+  ASSERT_OK(db.Merge("Header"));
+  std::weak_ptr<const Dictionary> weak =
+      header->group(0).main.column(1).shared_dictionary();
+
+  std::atomic<bool> captured{false};
+  std::atomic<bool> merged{false};
+  std::atomic<int> wrong{0};
+  std::thread reader([&] {
+    EpochManager::Guard guard;
+    const Dictionary* years = nullptr;
+    {
+      std::shared_lock<std::shared_mutex> lock(header->storage_mutex());
+      guard = db.epochs().Enter();
+      years = &header->group(0).main.column(1).dictionary();
+    }
+    captured.store(true);
+    auto read_all = [&] {
+      for (ValueId id = 0; id < years->size(); ++id) {
+        if (years->Find(years->value(id)) != std::optional<ValueId>(id)) {
+          wrong.fetch_add(1);
+        }
+      }
+      if (years->min_value() != Value(int64_t{2013})) wrong.fetch_add(1);
+    };
+    while (!merged.load()) read_all();
+    read_all();
+  });
+  while (!captured.load()) std::this_thread::yield();
+
+  insert_headers(401, 100, 2014);  // No new year: the dictionary is shared.
+  ASSERT_OK(db.Merge("Header"));
+  EXPECT_EQ(header->group(0).main.column(1).shared_dictionary(), weak.lock());
+  insert_headers(501, 100, 2015);  // A new year: a new dictionary.
+  ASSERT_OK(db.Merge("Header"));
+  EXPECT_NE(header->group(0).main.column(1).shared_dictionary(), weak.lock());
+  db.epochs().Collect();
+  EXPECT_FALSE(weak.expired());  // Pinned by the reader's epoch.
+  merged.store(true);
+  reader.join();
+  EXPECT_EQ(wrong.load(), 0);
+  db.epochs().Collect();
+  EXPECT_TRUE(weak.expired());
 }
 
 }  // namespace

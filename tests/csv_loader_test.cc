@@ -30,6 +30,27 @@ TEST_F(CsvLoaderTest, LoadsRowsWithHeader) {
   EXPECT_EQ(header_->ValueAt(*loc, 1), Value(int64_t{2014}));
 }
 
+// strtod parses "nan"; the load must stop at that row instead of putting
+// NaN into a dictionary.
+TEST_F(CsvLoaderTest, RejectsNaN) {
+  ASSERT_TRUE(
+      LoadCsvFromString(&db_, "Header", "HeaderID,FiscalYear\n1,2013\n")
+          .ok());
+  auto loaded = LoadCsvFromString(&db_, "Item",
+                                  "ItemID,HeaderID,Amount\n"
+                                  "10,1,3.5\n"
+                                  "11,1,nan\n"
+                                  "12,1,1.5\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(item_->FindByPk(Value(int64_t{10})).has_value());
+  EXPECT_FALSE(item_->FindByPk(Value(int64_t{11})).has_value());
+  EXPECT_FALSE(item_->FindByPk(Value(int64_t{12})).has_value());
+  ASSERT_OK(db_.Merge("Item"));
+  EXPECT_EQ(item_->group(0).main.column(3).dictionary().values(),
+            std::vector<Value>{Value(3.5)});
+}
+
 TEST_F(CsvLoaderTest, HeaderValidation) {
   auto wrong_name = LoadCsvFromString(&db_, "Header",
                                       "HeaderID,Year\n1,2013\n");

@@ -1,4 +1,5 @@
 #include "storage/delta_merge.h"
+#include "tests/reference_merge.h"
 
 #include "gtest/gtest.h"
 #include "storage/database.h"

@@ -1,5 +1,8 @@
 #include "storage/table.h"
 
+#include <limits>
+#include <string>
+
 #include "gtest/gtest.h"
 #include "storage/database.h"
 #include "tests/test_util.h"
@@ -98,6 +101,35 @@ TEST_F(TableTest, InsertRejectsWrongArity) {
           ->Insert(txn, {Value(int64_t{1}), Value(int64_t{2}),
                          Value(int64_t{3})})
           .ok());
+}
+
+// NaN equals nothing, itself included, so it can have no dictionary code
+// and no place in a sorted dictionary: inserts and updates reject it like
+// NULL and leave the table as it was, the old version of an updated row
+// included.
+TEST_F(TableTest, InsertAndUpdateRejectNaN) {
+  Transaction txn = db_.Begin();
+  ASSERT_OK(header_->Insert(txn, {Value(int64_t{7}), Value(int64_t{2014})}));
+  ASSERT_OK(item_->Insert(
+      txn, {Value(int64_t{100}), Value(int64_t{7}), Value(2.5)}));
+  Status nan = item_->Insert(
+      txn, {Value(int64_t{101}), Value(int64_t{7}),
+            Value(std::numeric_limits<double>::quiet_NaN())});
+  EXPECT_EQ(nan.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(nan.message().find("NaN"), std::string::npos) << nan;
+  EXPECT_EQ(item_->group(0).delta.num_rows(), 1u);
+  EXPECT_FALSE(item_->FindByPk(Value(int64_t{101})).has_value());
+  const Value negative_nan(-std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(item_->UpdateByPk(txn, Value(int64_t{100}),
+                              {Value(int64_t{100}), Value(int64_t{7}),
+                               negative_nan})
+                .code(),
+            StatusCode::kInvalidArgument);
+  // The failed update left the old version live.
+  EXPECT_TRUE(item_->FindByPk(Value(int64_t{100})).has_value());
+  ASSERT_OK(db_.Merge("Item"));
+  const Dictionary& amounts = item_->group(0).main.column(3).dictionary();
+  EXPECT_EQ(amounts.values(), std::vector<Value>{Value(2.5)});
 }
 
 TEST_F(TableTest, UpdateInvalidatesOldVersionAndPreservesObjectTid) {
